@@ -8,12 +8,14 @@
 #include <benchmark/benchmark.h>
 
 #include <cstdio>
+#include <cstdlib>
 #include <memory>
 #include <sstream>
 #include <string>
 #include <vector>
 
 #include "core/ruid2.h"
+#include "util/status.h"
 #include "util/table_printer.h"
 #include "xml/generator.h"
 #include "xml/stats.h"
@@ -119,6 +121,15 @@ inline core::PartitionOptions DefaultAreas() {
   options.max_area_nodes = 64;
   options.max_area_depth = 4;
   return options;
+}
+
+/// Reports a failed store operation and exits non-zero. Every bench writes
+/// its BENCH_*.json last, so a failed run leaves no JSON behind.
+[[noreturn]] inline void FailBench(const std::string& what,
+                                   const Status& status) {
+  std::fprintf(stderr, "FAILED %s: %s\n", what.c_str(),
+               status.ToString().c_str());
+  std::exit(1);
 }
 
 /// Prints the experiment banner with the paper artifact it regenerates.

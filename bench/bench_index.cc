@@ -1,11 +1,12 @@
 // E13 — secondary indexes on the query path (Sec. 4 "database file/table
-// selection" taken further): the same binary answers point gets, name
-// steps, and descendant (`//`) steps with the secondary indexes switched
-// on and off, so BENCH_index.json records how much of the query cost the
-// name index, path index, and per-shard Bloom filters remove on each
-// topology. CI floors: indexed descendant steps must beat the full
-// enumeration >= 5x on the uniform topology, and Bloom pruning must skip
-// >= 90% of candidate shards on point-get misses.
+// selection" taken further): the same binary answers name steps and
+// descendant (`//`) steps with the name and path indexes switched on and
+// off, and times point gets against one store per topology, so
+// BENCH_index.json records how much of the query cost the indexes and the
+// store's Bloom filter remove. CI floors: indexed descendant steps must
+// beat the full enumeration >= 5x on the uniform topology, the uniform
+// store must load, and its Bloom filter must answer >= 90% of point-get
+// misses with zero page accesses.
 #include <algorithm>
 #include <chrono>
 #include <memory>
@@ -13,7 +14,7 @@
 #include <vector>
 
 #include "bench_common.h"
-#include "storage/sharded_store.h"
+#include "storage/element_store.h"
 #include "xpath/name_index.h"
 #include "xpath/path_index.h"
 #include "xpath/ruid_eval.h"
@@ -57,7 +58,8 @@ constexpr TopologyCase kCases[] = {
 struct Fixture {
   std::unique_ptr<xml::Document> doc;
   core::Ruid2Scheme scheme;
-  std::unique_ptr<storage::ShardedElementStore> store;
+  std::unique_ptr<storage::ElementStore> store;
+  Status load_status;
   std::unique_ptr<xpath::NameIndex> name_index;
   std::unique_ptr<xpath::PathIndex> path_index;
   std::unique_ptr<xpath::RuidEvaluator> plain;    // enumeration paths only
@@ -74,13 +76,14 @@ struct Fixture {
     indexed = std::make_unique<xpath::RuidEvaluator>(doc.get(), &scheme);
     indexed->SetNameIndex(name_index.get());
     indexed->SetPathIndex(path_index.get());
-    store = storage::ShardedElementStore::Create("").MoveValueUnsafe();
-    (void)store->BulkLoad(scheme, doc->root());
+    auto created = storage::ElementStore::Create("");
+    if (!created.ok()) FailBench("store create", created.status());
+    store = created.MoveValueUnsafe();
+    load_status = store->BulkLoad(scheme, doc->root());
     // Evenly sampled stored identifiers (hits) and, for each, a same-area
     // identifier no node carries (miss): the local component is pushed far
-    // past any sibling enumeration, so every shard of the area is a
-    // candidate and only the Bloom filters stand between the lookup and
-    // the candidates' B+trees.
+    // past any sibling enumeration, so only the Bloom filter stands
+    // between the lookup and the primary B+tree.
     std::vector<xml::Node*> elements;
     xml::PreorderTraverse(doc->root(), [&](xml::Node* n, int) {
       if (n->is_element()) elements.push_back(n);
@@ -103,23 +106,29 @@ Fixture& UniformFixture() {
   return fixture;
 }
 
-/// GetById over `ids` with Bloom pruning on/off; returns {ms_on, ms_off}
-/// and leaves pruning re-enabled.
-std::pair<double, double> TimePointGets(Fixture& fixture,
-                                        const std::vector<core::Ruid2Id>& ids) {
-  auto probe = [&fixture, &ids]() {
-    for (const core::Ruid2Id& id : ids) (void)fixture.store->GetById(id);
-  };
-  double ms_on = TimeMs(probe);
-  fixture.store->SetBloomPruning(false);
-  double ms_off = TimeMs(probe);
-  fixture.store->SetBloomPruning(true);
-  return {ms_on, ms_off};
+/// Times Get over `ids`. A hit that is not found, or a lookup that fails
+/// with anything but NotFound, fails the bench: the timing would otherwise
+/// measure error paths.
+double TimePointGets(Fixture& fixture, const std::vector<core::Ruid2Id>& ids,
+                     bool expect_found) {
+  for (const core::Ruid2Id& id : ids) {
+    auto got = fixture.store->Get(id);
+    if (got.ok() != expect_found ||
+        (!got.ok() && !got.status().IsNotFound())) {
+      FailBench("point get " + id.ToString(),
+                got.ok() ? Status::Corruption("miss id found") : got.status());
+    }
+  }
+  return TimeMs([&fixture, &ids]() {
+    for (const core::Ruid2Id& id : ids) {
+      benchmark::DoNotOptimize(fixture.store->Get(id));
+    }
+  });
 }
 
 void IndexTables() {
   Banner("E13: secondary indexes on the query path",
-         "index-on vs index-off point get / name step / descendant step");
+         "index-on vs index-off name / descendant steps; point gets");
   BenchJsonWriter json("index");
 
   TablePrinter steps(
@@ -127,10 +136,10 @@ void IndexTables() {
       std::to_string(kRepeats) + ")");
   steps.SetHeader({"topology", "query", "results", "indexed ms", "scan ms",
                    "speedup", "agree"});
-  TablePrinter gets("sharded point gets, Bloom pruning on vs off (" +
-                    std::to_string(kPointGets) + " lookups)");
-  gets.SetHeader({"topology", "kind", "on ms", "off ms", "speedup",
-                  "shard skip %"});
+  TablePrinter gets("point gets on one store (" +
+                    std::to_string(kPointGets) + " lookups each)");
+  gets.SetHeader({"topology", "load", "records", "hit ms", "miss ms",
+                  "Bloom veto %"});
 
   for (const TopologyCase& tc : kCases) {
     std::string suffix = std::string("_") + tc.name;
@@ -140,8 +149,18 @@ void IndexTables() {
     Fixture& fixture = is_uniform ? UniformFixture() : *local;
     json.Metric("nodes" + suffix,
                 static_cast<double>(fixture.scheme.label_count()));
-    json.Metric("shards" + suffix,
-                static_cast<double>(fixture.store->shard_count()));
+    bool loaded = fixture.load_status.ok();
+    if (!loaded) {
+      std::printf("%s: store load failed after %llu of %zu records: %s\n",
+                  tc.name,
+                  static_cast<unsigned long long>(
+                      fixture.store->record_count()),
+                  fixture.scheme.label_count(),
+                  fixture.load_status.ToString().c_str());
+    }
+    json.Metric("store_load_ok" + suffix, loaded ? 1.0 : 0.0);
+    json.Metric("store_records" + suffix,
+                static_cast<double>(fixture.store->record_count()));
 
     // Name-step and descendant-step queries: same evaluator class, with
     // and without the indexes; results must agree exactly.
@@ -170,58 +189,41 @@ void IndexTables() {
                     TablePrinter::FormatDouble(speedup), agree ? "yes" : "NO"});
     }
 
-    // Miss-probe accounting first, on its own stats window: with pruning
-    // on, the Bloom filters should veto nearly every candidate shard.
-    fixture.store->ResetStats();
-    for (const core::Ruid2Id& id : fixture.miss_ids) {
-      (void)fixture.store->GetById(id);
+    // A partially loaded store would time lookups against missing data.
+    if (!loaded) {
+      gets.AddRow({tc.name, "FAILED",
+                   std::to_string(fixture.store->record_count()), "-", "-",
+                   "-"});
+      continue;
     }
-    auto stats = fixture.store->probe_stats();
-    double skip_ratio =
-        stats.candidate_shards == 0
-            ? 0.0
-            : static_cast<double>(stats.bloom_skips) /
-                  static_cast<double>(stats.candidate_shards);
-    uint64_t pages_on = fixture.store->logical_page_accesses();
-    json.Metric("bloom_skip_ratio_miss" + suffix, skip_ratio);
-    json.Metric("candidate_shards_per_miss" + suffix,
-                stats.lookups == 0
-                    ? 0.0
-                    : static_cast<double>(stats.candidate_shards) /
-                          static_cast<double>(stats.lookups));
-    // Page-access ledger for the same misses without pruning: what every
-    // lookup would pay descending each candidate's B+tree.
-    fixture.store->SetBloomPruning(false);
-    fixture.store->ResetStats();
-    for (const core::Ruid2Id& id : fixture.miss_ids) {
-      (void)fixture.store->GetById(id);
-    }
-    uint64_t pages_off = fixture.store->logical_page_accesses();
-    fixture.store->SetBloomPruning(true);
-    json.Metric("point_get_miss_pages_on" + suffix,
-                static_cast<double>(pages_on));
-    json.Metric("point_get_miss_pages_off" + suffix,
-                static_cast<double>(pages_off));
 
-    auto [hit_on, hit_off] = TimePointGets(fixture, fixture.hit_ids);
-    auto [miss_on, miss_off] = TimePointGets(fixture, fixture.miss_ids);
-    json.Metric("point_get_hit_ms_on" + suffix, hit_on, "ms");
-    json.Metric("point_get_hit_ms_off" + suffix, hit_off, "ms");
-    json.Metric("point_get_hit_speedup" + suffix,
-                hit_on > 0 ? hit_off / hit_on : 0.0, "x");
-    json.Metric("point_get_miss_ms_on" + suffix, miss_on, "ms");
-    json.Metric("point_get_miss_ms_off" + suffix, miss_off, "ms");
-    json.Metric("point_get_miss_speedup" + suffix,
-                miss_on > 0 ? miss_off / miss_on : 0.0, "x");
-    gets.AddRow({tc.name, "hit", TablePrinter::FormatDouble(hit_on, 3),
-                 TablePrinter::FormatDouble(hit_off, 3),
-                 TablePrinter::FormatDouble(hit_on > 0 ? hit_off / hit_on : 0),
-                 "-"});
-    gets.AddRow(
-        {tc.name, "miss", TablePrinter::FormatDouble(miss_on, 3),
-         TablePrinter::FormatDouble(miss_off, 3),
-         TablePrinter::FormatDouble(miss_on > 0 ? miss_off / miss_on : 0),
-         TablePrinter::FormatDouble(skip_ratio * 100, 1)});
+    // A miss is vetoed when the Bloom filter answers NotFound before the
+    // lookup touches a single page.
+    size_t vetoed = 0;
+    for (const core::Ruid2Id& id : fixture.miss_ids) {
+      fixture.store->ResetStats();
+      auto got = fixture.store->Get(id);
+      if (!got.ok() && got.status().IsNotFound() &&
+          fixture.store->logical_page_accesses() == 0) {
+        ++vetoed;
+      }
+    }
+    double veto_ratio =
+        fixture.miss_ids.empty()
+            ? 0.0
+            : static_cast<double>(vetoed) /
+                  static_cast<double>(fixture.miss_ids.size());
+    json.Metric("bloom_veto_ratio_miss" + suffix, veto_ratio);
+
+    double hit_ms = TimePointGets(fixture, fixture.hit_ids, true);
+    double miss_ms = TimePointGets(fixture, fixture.miss_ids, false);
+    json.Metric("point_get_hit_ms" + suffix, hit_ms, "ms");
+    json.Metric("point_get_miss_ms" + suffix, miss_ms, "ms");
+    gets.AddRow({tc.name, "ok",
+                 std::to_string(fixture.store->record_count()),
+                 TablePrinter::FormatDouble(hit_ms, 3),
+                 TablePrinter::FormatDouble(miss_ms, 3),
+                 TablePrinter::FormatDouble(veto_ratio * 100, 2)});
   }
 
   steps.Print();
@@ -240,18 +242,19 @@ void BM_DescendantStep(benchmark::State& state, bool use_index) {
 BENCHMARK_CAPTURE(BM_DescendantStep, indexed, true);
 BENCHMARK_CAPTURE(BM_DescendantStep, full_scan, false);
 
-void BM_PointGetMiss(benchmark::State& state, bool prune) {
+void BM_PointGetMiss(benchmark::State& state) {
   Fixture& fixture = UniformFixture();
-  fixture.store->SetBloomPruning(prune);
+  if (!fixture.load_status.ok()) {
+    state.SkipWithError(fixture.load_status.ToString().c_str());
+    return;
+  }
   for (auto _ : state) {
     for (const core::Ruid2Id& id : fixture.miss_ids) {
-      benchmark::DoNotOptimize(fixture.store->GetById(id));
+      benchmark::DoNotOptimize(fixture.store->Get(id));
     }
   }
-  fixture.store->SetBloomPruning(true);
 }
-BENCHMARK_CAPTURE(BM_PointGetMiss, bloom_pruned, true);
-BENCHMARK_CAPTURE(BM_PointGetMiss, unpruned, false);
+BENCHMARK(BM_PointGetMiss);
 
 }  // namespace
 }  // namespace bench

@@ -46,6 +46,14 @@ storage::ElementRecord MakeRecord(uint64_t i, uint64_t generation) {
   return record;
 }
 
+/// Puts every record at generation 0 and commits.
+Status Preload(storage::ElementStore* store) {
+  for (uint64_t i = 0; i < kRecords; ++i) {
+    RUIDX_RETURN_NOT_OK(store->Put(MakeRecord(i, 0)));
+  }
+  return store->Flush();
+}
+
 double Percentile(std::vector<double>* sorted_us, double p) {
   std::sort(sorted_us->begin(), sorted_us->end());
   size_t idx = static_cast<size_t>(p * static_cast<double>(sorted_us->size()));
@@ -58,9 +66,10 @@ double Percentile(std::vector<double>* sorted_us, double p) {
 /// loop would starve the writer off the core and sample almost nothing but
 /// the uncontended fast path; sleeping between arrivals lands each read at
 /// a uniformly random phase of the writer's put/commit cycle — the latency
-/// an independent client actually observes under write load.
+/// an independent client actually observes under write load. The first
+/// failed read is kept in `*failure`.
 template <typename GetFn>
-std::vector<double> MeasureReads(GetFn&& get, std::atomic<bool>* failed) {
+std::vector<double> MeasureReads(GetFn&& get, Status* failure) {
   std::vector<double> us;
   us.reserve(kReads);
   Rng rng(14);
@@ -70,7 +79,7 @@ std::vector<double> MeasureReads(GetFn&& get, std::atomic<bool>* failed) {
     auto t0 = std::chrono::steady_clock::now();
     auto record = get(MakeId(key));
     auto t1 = std::chrono::steady_clock::now();
-    if (!record.ok()) failed->store(true, std::memory_order_relaxed);
+    if (!record.ok() && failure->ok()) *failure = record.status();
     us.push_back(std::chrono::duration<double, std::micro>(t1 - t0).count());
   }
   return us;
@@ -81,48 +90,39 @@ void SnapshotLatencyTable() {
          "DESIGN.md Sec. 14 (MVCC snapshot reads + group commit)");
 
   auto created = storage::ElementStore::Create("", /*buffer_pool_pages=*/64);
-  if (!created.ok()) {
-    std::printf("store create failed: %s\n", created.status().ToString().c_str());
-    return;
-  }
+  if (!created.ok()) FailBench("store create", created.status());
   storage::ElementStore* store = created->get();
-  for (uint64_t i = 0; i < kRecords; ++i) {
-    (void)store->Put(MakeRecord(i, 0));
-  }
-  (void)store->Flush();
+  if (Status st = Preload(store); !st.ok()) FailBench("preload", st);
 
   // Writer: rewrite a rotating batch and commit, as fast as the engine
   // allows, until told to stop. Each Flush holds the pool mutex across the
   // WAL fsync and the checkpoint write-back — the stall the blocking
   // readers eat and the snapshot readers dodge.
   std::atomic<bool> stop{false};
-  std::atomic<bool> writer_failed{false};
   std::atomic<uint64_t> commits{0};
+  Status writer_status;  // written by the writer, read after join()
   std::thread writer([&] {
     uint64_t cursor = 0;
     uint64_t generation = 1;
     while (!stop.load(std::memory_order_relaxed)) {
       for (uint64_t i = 0; i < kBatch; ++i) {
-        if (!store->Put(MakeRecord((cursor + i) % kRecords, generation)).ok()) {
-          writer_failed.store(true, std::memory_order_relaxed);
-          return;
-        }
+        writer_status =
+            store->Put(MakeRecord((cursor + i) % kRecords, generation));
+        if (!writer_status.ok()) return;
       }
       cursor = (cursor + kBatch) % kRecords;
       ++generation;
-      if (!store->Flush().ok()) {
-        writer_failed.store(true, std::memory_order_relaxed);
-        return;
-      }
+      writer_status = store->Flush();
+      if (!writer_status.ok()) return;
       commits.fetch_add(1, std::memory_order_relaxed);
     }
   });
 
-  std::atomic<bool> read_failed{false};
+  Status read_status;
 
   // Mode 1: blocking reads through the pool (contend with FlushAll).
   std::vector<double> blocking_us = MeasureReads(
-      [&](const core::Ruid2Id& id) { return store->Get(id); }, &read_failed);
+      [&](const core::Ruid2Id& id) { return store->Get(id); }, &read_status);
 
   // Mode 2: reads pinned to one committed snapshot. Scan once to validate
   // the pinned view (every preloaded record visible) and warm the
@@ -130,37 +130,39 @@ void SnapshotLatencyTable() {
   std::vector<double> snapshot_us;
   uint64_t snapshot_count = 0;
   auto snap = store->OpenSnapshot();
-  if (!snap.ok()) {
-    read_failed.store(true, std::memory_order_relaxed);
-  } else {
-    (void)(*snap)->ScanAll(
-        [&](const storage::BPlusTree::Key&, const storage::ElementRecord&) {
-          ++snapshot_count;
-          return true;
-        });
-    if (snapshot_count != kRecords) {
-      read_failed.store(true, std::memory_order_relaxed);
-    }
+  Status snap_status =
+      !snap.ok() ? snap.status()
+                 : (*snap)->ScanAll([&](const storage::BPlusTree::Key&,
+                                        const storage::ElementRecord&) {
+                     ++snapshot_count;
+                     return true;
+                   });
+  if (snap_status.ok() && snapshot_count != kRecords) {
+    snap_status = Status::Corruption(
+        "snapshot view holds " + std::to_string(snapshot_count) + " of " +
+        std::to_string(kRecords) + " records");
+  }
+  if (snap_status.ok()) {
     snapshot_us = MeasureReads(
         [&](const core::Ruid2Id& id) { return (*snap)->Get(id); },
-        &read_failed);
+        &snap_status);
   }
 
   storage::SnapshotStats snap_stats = store->snapshot_stats();
   stop.store(true, std::memory_order_relaxed);
   writer.join();
   if (snap.ok()) snap->reset();
+  // A failed run (writer error, read error, short snapshot view) writes no
+  // JSON, so the CI floor fails loudly instead of passing on garbage.
+  if (!writer_status.ok()) FailBench("writer", writer_status);
+  if (!read_status.ok()) FailBench("blocking reads", read_status);
+  if (!snap_status.ok()) FailBench("snapshot reads", snap_status);
 
-  const bool valid = !writer_failed.load() && !read_failed.load() &&
-                     !blocking_us.empty() && !snapshot_us.empty();
-  double blocking_p50 = valid ? Percentile(&blocking_us, 0.50) : 0;
-  double blocking_p99 = valid ? Percentile(&blocking_us, 0.99) : 0;
-  double snapshot_p50 = valid ? Percentile(&snapshot_us, 0.50) : 0;
-  double snapshot_p99 = valid ? Percentile(&snapshot_us, 0.99) : 0;
-  // A failed run (writer error, read error, short snapshot view) zeroes the
-  // speedup so the CI floor fails loudly instead of passing on garbage.
-  double speedup =
-      (valid && snapshot_p99 > 0) ? blocking_p99 / snapshot_p99 : 0;
+  double blocking_p50 = Percentile(&blocking_us, 0.50);
+  double blocking_p99 = Percentile(&blocking_us, 0.99);
+  double snapshot_p50 = Percentile(&snapshot_us, 0.50);
+  double snapshot_p99 = Percentile(&snapshot_us, 0.99);
+  double speedup = snapshot_p99 > 0 ? blocking_p99 / snapshot_p99 : 0;
 
   TablePrinter table(
       "point-read latency (us) while a writer commits " +
@@ -194,26 +196,49 @@ void SnapshotLatencyTable() {
 
 void PrintTables() { SnapshotLatencyTable(); }
 
+/// A preloaded, committed 64-page store for the timed loops; nullptr (and
+/// the state marked skipped) if any store operation fails.
+std::unique_ptr<storage::ElementStore> PreloadedStore(
+    benchmark::State& state) {
+  auto created = storage::ElementStore::Create("", 64);
+  Status st = created.ok() ? Preload(created->get()) : created.status();
+  if (!st.ok()) {
+    state.SkipWithError(st.ToString().c_str());
+    return nullptr;
+  }
+  return created.MoveValueUnsafe();
+}
+
 void BM_BlockingGet(benchmark::State& state) {
-  auto store = storage::ElementStore::Create("", 64).MoveValueUnsafe();
-  for (uint64_t i = 0; i < kRecords; ++i) (void)store->Put(MakeRecord(i, 0));
-  (void)store->Flush();
+  auto store = PreloadedStore(state);
+  if (store == nullptr) return;
   Rng rng(7);
   for (auto _ : state) {
     auto record = store->Get(MakeId(rng.NextBounded(kRecords)));
+    if (!record.ok()) {
+      state.SkipWithError(record.status().ToString().c_str());
+      break;
+    }
     benchmark::DoNotOptimize(record);
   }
 }
 BENCHMARK(BM_BlockingGet);
 
 void BM_SnapshotGet(benchmark::State& state) {
-  auto store = storage::ElementStore::Create("", 64).MoveValueUnsafe();
-  for (uint64_t i = 0; i < kRecords; ++i) (void)store->Put(MakeRecord(i, 0));
-  (void)store->Flush();
-  auto snap = store->OpenSnapshot().MoveValueUnsafe();
+  auto store = PreloadedStore(state);
+  if (store == nullptr) return;
+  auto snap = store->OpenSnapshot();
+  if (!snap.ok()) {
+    state.SkipWithError(snap.status().ToString().c_str());
+    return;
+  }
   Rng rng(7);
   for (auto _ : state) {
-    auto record = snap->Get(MakeId(rng.NextBounded(kRecords)));
+    auto record = (*snap)->Get(MakeId(rng.NextBounded(kRecords)));
+    if (!record.ok()) {
+      state.SkipWithError(record.status().ToString().c_str());
+      break;
+    }
     benchmark::DoNotOptimize(record);
   }
 }

@@ -1,15 +1,15 @@
 // E13 — the parallel bulk-labeling pipeline and the per-area ancestor-path
 // cache. Not a paper table: the paper's Sec. 5 measures single-threaded
 // enumeration cost; this bench regenerates that load path at production
-// scale and shows (a) how labeling + sharded bulk-load scale with worker
-// threads (UID-local areas and (name, global) shards are the independent
-// units of parallelism), and (b) what memoizing the frame ancestor chains
+// scale and shows (a) how labeling scales with worker threads (UID-local
+// areas are the independent units of parallelism) next to the serial bulk
+// load into one store, and (b) what memoizing the frame ancestor chains
 // saves on the rancestor/CompareIds/structural-join hot paths.
 #include <chrono>
 #include <vector>
 
 #include "bench_common.h"
-#include "storage/sharded_store.h"
+#include "storage/element_store.h"
 #include "util/random.h"
 #include "util/thread_pool.h"
 #include "xpath/name_index.h"
@@ -22,16 +22,14 @@ namespace {
 constexpr uint64_t kScale = 100000;
 constexpr int kRepeats = 3;
 
-/// Partition geometry for the load-pipeline table. The stock budgets
-/// fragment this deep 100k-node document into tens of thousands of
-/// near-empty (name, global) shards — enough temp-file handles to kill
-/// the load mid-flight — and PR 7 papered over it with hand-picked coarse
-/// budgets (8192-node areas, depth cap off) whose huge areas pushed local
-/// indices past the 96-bit posting-key cap. The partitioner's adaptive
-/// granularity now does the sizing itself: budget areas off the node
-/// count and fold undersized splinters back up, so shard count tracks
-/// data volume, not topology accidents, at any scale — and areas stay
-/// small enough that every local index fits the posting codec.
+/// Partition geometry for the load-pipeline table. Hand-picked coarse
+/// budgets (8192-node areas, depth cap off) push local indices of this
+/// deep 100k-node document past the 96-bit posting-key cap. The
+/// partitioner's adaptive granularity does the sizing instead: budget
+/// areas off the node count and fold undersized splinters back up, so
+/// area count tracks data volume, not topology accidents, at any scale —
+/// and areas stay small enough that every local index fits the posting
+/// codec.
 core::PartitionOptions PipelineAreas() {
   core::PartitionOptions areas;
   areas.target_area_count = 256;
@@ -90,7 +88,17 @@ void PrintTables() {
   json.Metric("hardware_threads",
               static_cast<double>(std::thread::hardware_concurrency()));
 
-  // --- load pipeline scaling: label + sharded bulk-load per thread count ---
+  // --- load pipeline scaling: parallel label + one-store bulk load --------
+  // Labels are identical for every thread count, so the serial bulk load
+  // into one store is timed once and shared by every row.
+  core::Ruid2Scheme load_scheme(PipelineAreas());
+  load_scheme.Build(root);
+  double load_ms = TimeMs([&] {
+    auto store = storage::ElementStore::Create("");
+    if (!store.ok()) FailBench("store create", store.status());
+    Status s = (*store)->BulkLoad(load_scheme, root);
+    if (!s.ok()) FailBench("bulk load", s);
+  });
   TablePrinter table("load pipeline vs worker threads (best of 3)");
   table.SetHeader({"threads", "label ms", "bulk-load ms", "pipeline ms",
                    "speedup"});
@@ -102,22 +110,6 @@ void PrintTables() {
       core::Ruid2Scheme scheme(PipelineAreas());
       scheme.Build(root, pool.get());
     });
-    core::Ruid2Scheme scheme(PipelineAreas());
-    scheme.Build(root, pool.get());
-    Status load_status = Status::OK();
-    double load_ms = TimeMs([&] {
-      auto store = storage::ShardedElementStore::Create("");
-      if (!store.ok()) {
-        load_status = store.status();
-        return;
-      }
-      Status s = (*store)->BulkLoad(scheme, root, pool.get());
-      if (!s.ok()) load_status = s;
-    });
-    if (!load_status.ok()) {
-      std::printf("WARNING: t%d bulk load failed: %s\n", threads,
-                  load_status.ToString().c_str());
-    }
     double pipeline_ms = label_ms + load_ms;
     if (threads == 1) base_pipeline = pipeline_ms;
     char speedup[32];
@@ -128,11 +120,11 @@ void PrintTables() {
                   speedup});
     std::string suffix = "_t" + std::to_string(threads);
     json.Metric("label_ms" + suffix, label_ms, "ms");
-    json.Metric("bulk_load_ms" + suffix, load_ms, "ms");
     json.Metric("pipeline_ms" + suffix, pipeline_ms, "ms");
     json.Metric("pipeline_speedup" + suffix, base_pipeline / pipeline_ms,
                 "x");
   }
+  json.Metric("bulk_load_ms", load_ms, "ms");
   table.Print();
 
   // --- ancestor-path cache: rancestor over the sample, cold vs warm --------

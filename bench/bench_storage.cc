@@ -1,18 +1,17 @@
 // E12 — storage-level behaviour (Secs. 3.3 & 4): ancestor determination
 // "without any I/O" thanks to rparent, versus a store that must chase
-// parent pointers; plus identifier-clustered area scans versus scattered
-// point lookups ("database file/table selection", Sec. 4).
+// parent pointers; identifier-clustered area scans versus scattered point
+// lookups; and by-name selection through the name postings versus a full
+// scan ("database file/table selection", Sec. 4). Every store operation is
+// checked: a failure prints its status and exits non-zero without JSON.
 #include <chrono>
 #include <memory>
 
 #include "bench_common.h"
 #include "storage/element_store.h"
-#include "storage/sharded_store.h"
 #include "storage/streaming_labeler.h"
 #include "util/random.h"
-#include "util/thread_pool.h"
 #include "xml/serializer.h"
-#include "xpath/name_index.h"
 
 namespace ruidx {
 namespace bench {
@@ -44,10 +43,13 @@ struct Fixture {
   Fixture() : scheme(DefaultAreas()) {
     doc = MakeTopology("uniform", kScale);
     scheme.Build(doc->root());
-    store = storage::ElementStore::Create("", /*buffer_pool_pages=*/32)
-                .MoveValueUnsafe();
-    (void)store->BulkLoad(scheme, doc->root());
-    (void)store->Flush();
+    auto created = storage::ElementStore::Create("", /*buffer_pool_pages=*/32);
+    if (!created.ok()) FailBench("store create", created.status());
+    store = created.MoveValueUnsafe();
+    if (Status st = store->BulkLoad(scheme, doc->root()); !st.ok()) {
+      FailBench("bulk load", st);
+    }
+    if (Status st = store->Flush(); !st.ok()) FailBench("flush", st);
     // One representative node per depth.
     int depth_seen = -1;
     xml::PreorderTraverse(doc->root(), [&](xml::Node* n, int depth) {
@@ -104,15 +106,18 @@ void AreaScanTable() {
     const auto& row = rows[rng.NextBounded(rows.size())];
     std::vector<core::Ruid2Id> ids;
     fixture.store->ResetStats();
-    (void)fixture.store->ScanArea(row.global,
-                                  [&](const storage::ElementRecord& record) {
-                                    ids.push_back(record.id);
-                                    return true;
-                                  });
+    Status scanned =
+        fixture.store->ScanArea(row.global,
+                                [&](const storage::ElementRecord& record) {
+                                  ids.push_back(record.id);
+                                  return true;
+                                });
+    if (!scanned.ok()) FailBench("area scan", scanned);
     uint64_t scan_io = fixture.store->logical_page_accesses();
     fixture.store->ResetStats();
     for (const core::Ruid2Id& id : ids) {
-      (void)fixture.store->Get(id);
+      auto got = fixture.store->Get(id);
+      if (!got.ok()) FailBench("point get " + id.ToString(), got.status());
     }
     uint64_t point_io = fixture.store->logical_page_accesses();
     table.AddRow({row.global.ToDecimalString(), std::to_string(ids.size()),
@@ -121,84 +126,76 @@ void AreaScanTable() {
   table.Print();
 }
 
-void ShardedSelectionTable() {
-  // Sec. 4 "Database file/table selection": by-name selection over (name,
-  // area) shards vs scanning one monolithic store. Scaled down from kScale:
-  // every (name, area) shard holds a pager file AND a journal file, and a
-  // full-size dblp doc creates ~14k shards — past the process fd limit.
-  // The page-access contrast the table shows is per-query and does not
-  // depend on document size.
+void NameSelectionTable() {
+  // Sec. 4 "Database file/table selection" names a table after (element
+  // name, area global index). The name-posting key [name term | global |
+  // local | flag] sorts one store by that same pair, so selecting a name
+  // reads only its posting range plus one heap fetch per match. The
+  // page-access contrast is per query and does not depend on document
+  // size, so a small document keeps the full scans cheap.
   auto doc = MakeTopology("dblp", kScale / 8);
   core::Ruid2Scheme scheme(DefaultAreas());
   scheme.Build(doc->root());
-  auto sharded = storage::ShardedElementStore::Create("").MoveValueUnsafe();
-  (void)sharded->BulkLoad(scheme, doc->root());
-  auto monolithic = storage::ElementStore::Create("", 32).MoveValueUnsafe();
-  (void)monolithic->BulkLoad(scheme, doc->root());
-  xpath::NameIndex index(doc->root());
+  auto created = storage::ElementStore::Create("", 32);
+  if (!created.ok()) FailBench("store create", created.status());
+  std::unique_ptr<storage::ElementStore> store = created.MoveValueUnsafe();
+  if (Status st = store->BulkLoad(scheme, doc->root()); !st.ok()) {
+    FailBench("dblp bulk load", st);
+  }
 
   TablePrinter table(
-      "fetch all elements of one name: (name, area) shards vs monolithic "
-      "full scan ('dblp', " + std::to_string(kScale / 8) + " nodes)");
-  table.SetHeader({"name", "matches", "sharded page accesses",
-                   "monolithic scan page accesses"});
+      "fetch all elements of one name: name postings vs full area-by-area "
+      "scan ('dblp', " + std::to_string(kScale / 8) + " nodes, one store)");
+  table.SetHeader({"name", "matches", "postings page accesses",
+                   "full scan page accesses"});
   for (const char* name : {"year", "title", "inproceedings"}) {
-    sharded->ResetStats();
+    store->ResetStats();
     size_t got = 0;
-    (void)sharded->ScanName(name, [&](const storage::ElementRecord&) {
+    Status st = store->ScanNameTerm(name, [&](const storage::ElementRecord&) {
       ++got;
       return true;
     });
-    uint64_t sharded_io = sharded->logical_page_accesses();
+    if (!st.ok()) FailBench(std::string("name scan ") + name, st);
+    uint64_t postings_io = store->logical_page_accesses();
 
-    monolithic->ResetStats();
+    store->ResetStats();
     size_t scanned = 0;
-    // The monolithic store has no name index: full area-by-area scan.
     for (const auto& row : scheme.ktable().rows()) {
-      (void)monolithic->ScanArea(row.global,
-                                 [&](const storage::ElementRecord& record) {
-                                   if (record.name == name) ++scanned;
-                                   return true;
-                                 });
+      st = store->ScanArea(row.global,
+                           [&](const storage::ElementRecord& record) {
+                             if (record.name == name) ++scanned;
+                             return true;
+                           });
+      if (!st.ok()) FailBench("area scan", st);
     }
-    uint64_t mono_io = monolithic->logical_page_accesses();
-    table.AddRow({name, std::to_string(got), std::to_string(sharded_io),
-                  std::to_string(mono_io)});
+    uint64_t scan_io = store->logical_page_accesses();
     if (got != scanned) {
-      std::printf("WARNING: sharded/monolithic disagree for %s\n", name);
+      FailBench(std::string("name selection ") + name,
+                Status::Corruption("postings found " + std::to_string(got) +
+                                   ", full scan found " +
+                                   std::to_string(scanned)));
     }
+    table.AddRow({name, std::to_string(got), std::to_string(postings_io),
+                  std::to_string(scan_io)});
   }
   table.Print();
 }
 
-void EngineThroughputTable() {
-  // Not a paper table: throughput-vs-threads curves for the storage engine
-  // itself — the batched bulk-load write path, parallel point gets, and a
-  // mixed get/put workload over name-disjoint shard partitions.
-  auto doc = MakeTopology("random", kScale);
-  // Much larger areas than DefaultAreas(): this table measures the write
-  // path, and (name, area) shards under 64-node areas hold ~4 records each —
-  // all shard-lifecycle overhead, no batch to build. The depth budget must
-  // be effectively off too: the greedy partitioner spills every pending
-  // child into its own area once a budget trips, so a depth cap on this
-  // deep "random" topology fragments 20k nodes into ~10k two-record shards
-  // (whose 2 fds each then blow the process fd limit). 8192-node areas with
-  // no depth cap yield ~160 shards with leaf-filling record runs.
-  core::PartitionOptions areas;
-  areas.max_area_nodes = 8192;
-  areas.max_area_depth = 1ull << 20;
-  core::Ruid2Scheme scheme(areas);
-  scheme.Build(doc->root());
+void StoreThroughputTable() {
+  // Not a paper table: the single store's bulk-load and point-get times on
+  // the uniform fixture document.
+  Fixture& fixture = GetFixture();
+  double load_ms = TimeMs([&] {
+    auto fresh = storage::ElementStore::Create("", 32);
+    if (!fresh.ok()) FailBench("store create", fresh.status());
+    Status st = (*fresh)->BulkLoad(fixture.scheme, fixture.doc->root());
+    if (!st.ok()) FailBench("bulk load", st);
+  });
 
-  // Sample of (name, id) handles for the read and mixed workloads,
-  // shuffled so lookups hop across shards.
-  struct Handle {
-    std::string name;
-    core::Ruid2Id id;
-  };
-  std::vector<Handle> sample;
-  xml::PreorderTraverse(doc->root(), [&](xml::Node* n, int) {
-    sample.push_back({std::string(n->name()), scheme.label(n)});
+  // A shuffled sample of stored identifiers, so lookups hop across areas.
+  std::vector<core::Ruid2Id> sample;
+  xml::PreorderTraverse(fixture.doc->root(), [&](xml::Node* n, int) {
+    sample.push_back(fixture.scheme.label(n));
     return true;
   });
   Rng rng(17);
@@ -206,117 +203,38 @@ void EngineThroughputTable() {
     std::swap(sample[i - 1], sample[rng.NextBounded(i)]);
   }
   if (sample.size() > 4096) sample.resize(4096);
-
-  BenchJsonWriter json("storage");
-  json.Metric("nodes", static_cast<double>(scheme.label_count()));
-  TablePrinter table(
-      "storage engine throughput vs worker threads ('random', " +
-      std::to_string(kScale) + " nodes, best of " + std::to_string(kRepeats) +
-      ")");
-  table.SetHeader({"threads", "bulk load ms", "point gets ms",
-                   "mixed get/put ms", "load speedup"});
-  double base_load = 0;
-  for (int threads : {1, 2, 4, 8}) {
-    std::unique_ptr<util::ThreadPool> pool;
-    if (threads > 1) pool = std::make_unique<util::ThreadPool>(threads);
-
-    Status load_status = Status::OK();
-    double load_ms = TimeMs([&] {
-      auto fresh = storage::ShardedElementStore::Create("");
-      if (!fresh.ok()) {
-        load_status = fresh.status();
-        return;
-      }
-      Status s = (*fresh)->BulkLoad(scheme, doc->root(), pool.get());
-      if (!s.ok()) load_status = s;
-    });
-    if (!load_status.ok()) {
-      std::printf("WARNING: t%d bulk load failed: %s\n", threads,
-                  load_status.ToString().c_str());
-    }
-
-    auto store = storage::ShardedElementStore::Create("").MoveValueUnsafe();
-    (void)store->BulkLoad(scheme, doc->root(), pool.get());
-    if (threads == 1) {
-      json.Metric("shard_count", static_cast<double>(store->shard_count()));
-    }
-
-    // Point gets are read-only: any worker may hit any shard (the pool and
-    // shard map are internally locked; nothing else mutates).
-    // lint: disjoint-writes — read-only lookups, no shared writes.
-    double get_ms = TimeMs([&] {
-      if (pool == nullptr) {
-        for (const Handle& h : sample) (void)store->Get(h.name, h.id);
-      } else {
-        size_t n = static_cast<size_t>(threads);
-        util::ThreadPool::ParallelFor(pool.get(), n, [&](size_t w) {
-          for (size_t i = w; i < sample.size(); i += n) {
-            (void)store->Get(sample[i].name, sample[i].id);
-          }
-        });
-      }
-    });
-
-    // Mixed workload: names are partitioned across workers by hash, so two
-    // workers never touch the same (name, global) shard — writes stay
-    // disjoint while the shard map serializes only the brief lookups.
-    // lint: disjoint-writes — worker w owns exactly the names hashing to w.
-    double mixed_ms = TimeMs([&] {
-      size_t n = pool == nullptr ? 1 : static_cast<size_t>(threads);
-      auto worker = [&](size_t w) {
-        std::hash<std::string> hasher;
-        for (const Handle& h : sample) {
-          if (hasher(h.name) % n != w) continue;
-          auto got = store->Get(h.name, h.id);
-          if (got.ok()) (void)store->Put(*got);
-        }
-      };
-      if (pool == nullptr) {
-        worker(0);
-      } else {
-        util::ThreadPool::ParallelFor(pool.get(), n, worker);
-      }
-    });
-
-    if (threads == 1) base_load = load_ms;
-    char speedup[32];
-    std::snprintf(speedup, sizeof(speedup), "%.2fx", base_load / load_ms);
-    table.AddRow({std::to_string(threads), std::to_string(load_ms),
-                  std::to_string(get_ms), std::to_string(mixed_ms), speedup});
-    std::string suffix = "_t" + std::to_string(threads);
-    json.Metric("bulk_load_ms" + suffix, load_ms, "ms");
-    json.Metric("point_get_ms" + suffix, get_ms, "ms");
-    json.Metric("mixed_ms" + suffix, mixed_ms, "ms");
-    json.Metric("bulk_load_speedup" + suffix, base_load / load_ms, "x");
+  for (const core::Ruid2Id& id : sample) {
+    auto got = fixture.store->Get(id);
+    if (!got.ok()) FailBench("point get " + id.ToString(), got.status());
   }
-  table.Print();
+  double get_ms = TimeMs([&] {
+    for (const core::Ruid2Id& id : sample) {
+      benchmark::DoNotOptimize(fixture.store->Get(id));
+    }
+  });
 
-  // Pool behaviour under the batched path, for the record.
-  auto store = storage::ShardedElementStore::Create("").MoveValueUnsafe();
-  util::ThreadPool pool4(4);
-  (void)store->BulkLoad(scheme, doc->root(), &pool4);
-  storage::BufferPoolStats ps = store->pool_stats();
-  std::printf(
-      "pool (t4 load): %llu hits, %llu misses, %llu evictions, "
-      "%llu sync + %llu async writebacks\n",
-      static_cast<unsigned long long>(ps.hits),
-      static_cast<unsigned long long>(ps.misses),
-      static_cast<unsigned long long>(ps.evictions),
-      static_cast<unsigned long long>(ps.dirty_writebacks),
-      static_cast<unsigned long long>(ps.async_writebacks));
-  json.Metric("pool_hits_t4_load", static_cast<double>(ps.hits));
-  json.Metric("pool_misses_t4_load", static_cast<double>(ps.misses));
-  json.Metric("pool_evictions_t4_load", static_cast<double>(ps.evictions));
+  TablePrinter table("one store, 'uniform' " + std::to_string(kScale) +
+                     " nodes (best of " + std::to_string(kRepeats) + ")");
+  table.SetHeader({"bulk load ms", "point gets", "point gets ms"});
+  table.AddRow({TablePrinter::FormatDouble(load_ms, 3),
+                std::to_string(sample.size()),
+                TablePrinter::FormatDouble(get_ms, 3)});
+  table.Print();
+  BenchJsonWriter json("storage");
+  json.Metric("nodes", static_cast<double>(fixture.scheme.label_count()));
+  json.Metric("bulk_load_ms", load_ms, "ms");
+  json.Metric("point_get_ms", get_ms, "ms");
   json.Write();
 }
 
 void PrintTables() {
   Banner("E12: storage I/O",
-         "Sec. 3.3 — ancestor checks without I/O; Sec. 4 — area clustering");
+         "Sec. 3.3 — ancestor checks without I/O; Sec. 4 — area clustering "
+         "and name selection");
   AncestorIoTable();
   AreaScanTable();
-  ShardedSelectionTable();
-  EngineThroughputTable();
+  NameSelectionTable();
+  StoreThroughputTable();
 }
 
 void BM_GetBySimpleId(benchmark::State& state) {
@@ -325,7 +243,12 @@ void BM_GetBySimpleId(benchmark::State& state) {
   Rng rng(11);
   for (auto _ : state) {
     xml::Node* n = nodes[rng.NextBounded(nodes.size())];
-    benchmark::DoNotOptimize(fixture.store->Get(fixture.scheme.label(n)));
+    auto got = fixture.store->Get(fixture.scheme.label(n));
+    if (!got.ok()) {
+      state.SkipWithError(got.status().ToString().c_str());
+      break;
+    }
+    benchmark::DoNotOptimize(got);
   }
 }
 BENCHMARK(BM_GetBySimpleId)->Unit(benchmark::kMicrosecond);
@@ -346,8 +269,13 @@ void BM_AncestorViaParentPointers(benchmark::State& state) {
   core::Ruid2Id root_id = fixture.scheme.label(fixture.doc->root());
   core::Ruid2Id deep_id = fixture.scheme.label(fixture.deep_nodes.back());
   for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        fixture.store->IsAncestorViaParentPointers(root_id, deep_id));
+    auto is_ancestor =
+        fixture.store->IsAncestorViaParentPointers(root_id, deep_id);
+    if (!is_ancestor.ok()) {
+      state.SkipWithError(is_ancestor.status().ToString().c_str());
+      break;
+    }
+    benchmark::DoNotOptimize(is_ancestor);
   }
 }
 BENCHMARK(BM_AncestorViaParentPointers);
@@ -356,8 +284,12 @@ void BM_FetchAncestors(benchmark::State& state) {
   Fixture& fixture = GetFixture();
   core::Ruid2Id deep_id = fixture.scheme.label(fixture.deep_nodes.back());
   for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        fixture.store->FetchAncestors(fixture.scheme, deep_id));
+    auto ancestors = fixture.store->FetchAncestors(fixture.scheme, deep_id);
+    if (!ancestors.ok()) {
+      state.SkipWithError(ancestors.status().ToString().c_str());
+      break;
+    }
+    benchmark::DoNotOptimize(ancestors);
   }
 }
 BENCHMARK(BM_FetchAncestors)->Unit(benchmark::kMicrosecond);
@@ -366,9 +298,17 @@ void BM_StreamLabelToStore(benchmark::State& state) {
   auto doc = MakeTopology("xmark", kScale);
   std::string text = xml::Serialize(doc->document_node());
   for (auto _ : state) {
-    auto store = storage::ElementStore::Create("", 64).MoveValueUnsafe();
+    auto store = storage::ElementStore::Create("", 64);
+    if (!store.ok()) {
+      state.SkipWithError(store.status().ToString().c_str());
+      break;
+    }
     auto stats =
-        storage::StreamLabelToStore(text, DefaultAreas(), store.get());
+        storage::StreamLabelToStore(text, DefaultAreas(), store->get());
+    if (!stats.ok()) {
+      state.SkipWithError(stats.status().ToString().c_str());
+      break;
+    }
     benchmark::DoNotOptimize(stats);
   }
   state.SetBytesProcessed(static_cast<int64_t>(state.iterations()) *
@@ -380,11 +320,23 @@ void BM_DomBuildAndBulkLoad(benchmark::State& state) {
   auto doc = MakeTopology("xmark", kScale);
   std::string text = xml::Serialize(doc->document_node());
   for (auto _ : state) {
-    auto parsed = xml::Parse(text).MoveValueUnsafe();
+    auto parsed = xml::Parse(text);
+    if (!parsed.ok()) {
+      state.SkipWithError(parsed.status().ToString().c_str());
+      break;
+    }
     core::Ruid2Scheme scheme(DefaultAreas());
-    scheme.Build(parsed->root());
-    auto store = storage::ElementStore::Create("", 64).MoveValueUnsafe();
-    benchmark::DoNotOptimize(store->BulkLoad(scheme, parsed->root()));
+    scheme.Build((*parsed)->root());
+    auto store = storage::ElementStore::Create("", 64);
+    if (!store.ok()) {
+      state.SkipWithError(store.status().ToString().c_str());
+      break;
+    }
+    Status loaded = (*store)->BulkLoad(scheme, (*parsed)->root());
+    if (!loaded.ok()) {
+      state.SkipWithError(loaded.ToString().c_str());
+      break;
+    }
   }
   state.SetBytesProcessed(static_cast<int64_t>(state.iterations()) *
                           static_cast<int64_t>(text.size()));

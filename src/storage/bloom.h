@@ -1,8 +1,8 @@
-// A Bloom filter over 64-bit key hashes, used per store (and so per shard
-// of a ShardedElementStore) to answer "is this identifier definitely not
-// here?" without descending the B+tree. The filter is add-only — deletions
-// leave it a superset of the live key set, which preserves the one property
-// the query path relies on and the fsck asserts: no false negatives, ever.
+// A Bloom filter over 64-bit key hashes, one per store, to answer "is this
+// identifier definitely not here?" without descending the B+tree. The
+// filter is add-only — deletions leave it a superset of the live key set,
+// which preserves the one property the query path relies on and the fsck
+// asserts: no false negatives, ever.
 //
 // Supersets are safe but not free: every deletion leaves dead bits behind,
 // so under delete-heavy churn the false-positive rate drifts up while the

@@ -306,8 +306,7 @@ Status ElementStore::WriteMeta() {
 }
 
 Result<std::unique_ptr<ElementStore>> ElementStore::Create(
-    const std::string& path, size_t buffer_pool_pages,
-    bool background_flusher) {
+    const std::string& path, size_t buffer_pool_pages) {
   auto store = std::unique_ptr<ElementStore>(new ElementStore());
   auto injector = std::make_shared<IoFaultInjector>();
   RUIDX_ASSIGN_OR_RETURN(store->pager_,
@@ -322,7 +321,7 @@ Result<std::unique_ptr<ElementStore>> ElementStore::Create(
   store->pool_ =
       std::make_unique<BufferPool>(store->pager_.get(), buffer_pool_pages);
   store->pool_->AttachWal(store->wal_.get());
-  if (background_flusher) store->pool_->StartBackgroundFlusher();
+  store->pool_->StartBackgroundFlusher();
   // Reserve page 0 for the metadata header.
   uint8_t* meta = nullptr;
   RUIDX_ASSIGN_OR_RETURN(uint32_t meta_page, store->pool_->AllocatePinned(&meta));
@@ -343,8 +342,7 @@ Result<std::unique_ptr<ElementStore>> ElementStore::Create(
 }
 
 Result<std::unique_ptr<ElementStore>> ElementStore::Open(
-    const std::string& path, size_t buffer_pool_pages,
-    bool background_flusher) {
+    const std::string& path, size_t buffer_pool_pages) {
   auto store = std::unique_ptr<ElementStore>(new ElementStore());
   auto injector = std::make_shared<IoFaultInjector>();
   RUIDX_ASSIGN_OR_RETURN(store->wal_,
@@ -378,7 +376,7 @@ Result<std::unique_ptr<ElementStore>> ElementStore::Open(
   store->pool_ =
       std::make_unique<BufferPool>(store->pager_.get(), buffer_pool_pages);
   store->pool_->AttachWal(store->wal_.get());
-  if (background_flusher) store->pool_->StartBackgroundFlusher();
+  store->pool_->StartBackgroundFlusher();
   RUIDX_ASSIGN_OR_RETURN(uint8_t* page, store->pool_->Fetch(0));
   uint32_t magic = 0;
   std::memcpy(&magic, page, 4);
@@ -516,10 +514,11 @@ Result<uint64_t> ElementStore::ResolvePathTerm(const ElementRecord& record) {
     return ExtendPathTerm(parent.path_term, record.name);
   }
   if (!location.status().IsNotFound()) return location.status();
-  // The parent lives elsewhere (another shard of a sharded store): seed the
-  // term from the bare name. Deterministic — Remove and overwrite still
-  // find the posting through the stored term — but cross-shard path
-  // queries against this record degrade to index misses.
+  // The parent record is not in this store (a caller-built record whose
+  // parent was never Put, or was removed): seed the term from the bare
+  // name. Deterministic — Remove and overwrite still find the posting
+  // through the stored term — but path queries against this record
+  // degrade to index misses.
   return HashNameTerm(record.name);
 }
 
@@ -607,12 +606,12 @@ bool ElementStore::MayContainId(const core::Ruid2Id& id) const {
   auto key = EncodeIdKey(id);
   // Unencodable identifiers cannot be stored either.
   if (!key.ok()) return false;
-  return !bloom_enabled_ || bloom_.MayContain(IdKeyHash(*key));
+  return bloom_.MayContain(IdKeyHash(*key));
 }
 
 Result<ElementRecord> ElementStore::Get(const core::Ruid2Id& id) {
   RUIDX_ASSIGN_OR_RETURN(BPlusTree::Key key, EncodeIdKey(id));
-  if (bloom_enabled_ && !bloom_.MayContain(IdKeyHash(key))) {
+  if (!bloom_.MayContain(IdKeyHash(key))) {
     return Status::NotFound("id not in store");
   }
   RUIDX_ASSIGN_OR_RETURN(uint64_t location, index_->Get(key));
@@ -621,7 +620,7 @@ Result<ElementRecord> ElementStore::Get(const core::Ruid2Id& id) {
 
 Result<bool> ElementStore::Exists(const core::Ruid2Id& id) {
   RUIDX_ASSIGN_OR_RETURN(BPlusTree::Key key, EncodeIdKey(id));
-  if (bloom_enabled_ && !bloom_.MayContain(IdKeyHash(key))) return false;
+  if (!bloom_.MayContain(IdKeyHash(key))) return false;
   auto location = index_->Get(key);
   if (location.ok()) return true;
   if (location.status().IsNotFound()) return false;
@@ -703,7 +702,7 @@ Status ElementStore::BulkLoadRecords(const std::vector<ElementRecord>& records) 
                  it != term_of.end()) {
         term = ExtendPathTerm(it->second, record.name);
       } else {
-        term = HashNameTerm(record.name);  // cross-shard parent (see Put)
+        term = HashNameTerm(record.name);  // no parent record (see Put)
       }
     }
     terms[i] = term;

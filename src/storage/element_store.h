@@ -39,8 +39,8 @@ struct ElementRecord {
   /// Rolling hash of the root-to-node tag path (the path-index term).
   /// 0 = unset: the store resolves it on Put — root hash when the record is
   /// its own parent, otherwise extended from the parent record's stored
-  /// term (falling back to the bare name hash when the parent lives in a
-  /// different shard). Reads fill in the stored value.
+  /// term (falling back to the bare name hash when the parent record is
+  /// not in the store). Reads fill in the stored value.
   uint64_t path_term = 0;
 };
 
@@ -109,14 +109,11 @@ class StoreSnapshot {
 
 class ElementStore {
  public:
-  /// Creates an empty store backed by `path` (empty = temp file).
-  /// `background_flusher` spawns the store's dedicated I/O thread that
-  /// drains dirty pool frames asynchronously; pass false for stores that
-  /// live many-to-a-process (e.g. the shards of a ShardedElementStore,
-  /// whose workers already provide the parallelism).
+  /// Creates an empty store backed by `path` (empty = temp file). Every
+  /// store runs a dedicated background I/O thread that drains dirty pool
+  /// frames asynchronously.
   static Result<std::unique_ptr<ElementStore>> Create(
-      const std::string& path, size_t buffer_pool_pages = 64,
-      bool background_flusher = true);
+      const std::string& path, size_t buffer_pool_pages = 64);
 
   /// Re-opens a store previously Create()d and Flush()ed at `path`. Runs
   /// crash recovery first: if the sidecar journal ("<path>.wal") holds a
@@ -124,8 +121,7 @@ class ElementStore {
   /// (pre-images re-applied, appended pages truncated, torn journal tails
   /// discarded) before the metadata is read.
   static Result<std::unique_ptr<ElementStore>> Open(
-      const std::string& path, size_t buffer_pool_pages = 64,
-      bool background_flusher = true);
+      const std::string& path, size_t buffer_pool_pages = 64);
 
   /// Inserts or replaces a record.
   Status Put(const ElementRecord& record);
@@ -143,14 +139,9 @@ class ElementStore {
   Result<bool> Exists(const core::Ruid2Id& id);
 
   /// False = the identifier is definitely not stored (no page accesses);
-  /// true = probably stored. The sharded store prunes shards on this.
+  /// true = probably stored. The Bloom-membership fsck invariant checks
+  /// every stored key against this.
   bool MayContainId(const core::Ruid2Id& id) const;
-
-  /// Benchmark/diagnostic knob: with the filter disabled, misses descend
-  /// the B+tree and MayContainId never vetoes — the pre-index behaviour,
-  /// kept so index-on/off comparisons measure the same binary. The filter
-  /// itself keeps being maintained, so re-enabling is always safe.
-  void SetBloomEnabled(bool enabled) { bloom_enabled_ = enabled; }
 
   /// Loads every labeled node of `doc` under `scheme`.
   Status BulkLoad(const core::Ruid2Scheme& scheme, xml::Node* root);
@@ -309,7 +300,6 @@ class ElementStore {
   std::unique_ptr<SecondaryIndex> name_index_;
   std::unique_ptr<SecondaryIndex> path_index_;
   BloomFilter bloom_;
-  bool bloom_enabled_ = true;
   /// The Bloom filter's persisted page chain, head first (mirrors the
   /// on-disk next pointers so Flush can rewrite pages in place).
   std::vector<uint32_t> bloom_pages_;

@@ -1,13 +1,12 @@
 // Positive exercise of the runtime lock-rank validator (util/sync.h): run
 // the deepest real lock-nesting chains in the system — a small-pool
 // ElementStore with its background flusher (pool mutex over wal/pager
-// mutexes, flusher queue, commit latches), a parallel ShardedElementStore
-// BulkLoad (shard map, thread pool, per-shard pools), and ancestor-cache
-// invalidation racing readers — and require that everything completes
-// without a rank abort. In dcheck builds every Lock() in these paths runs
-// rank validation, so this test IS the proof that the documented global
-// order matches the code's actual nesting; in NDEBUG builds it degrades to
-// a plain integration smoke test.
+// mutexes, flusher queue, commit latches), a parallel labeling build on a
+// thread pool, and ancestor-cache invalidation racing readers — and require
+// that everything completes without a rank abort. In dcheck builds every
+// Lock() in these paths runs rank validation, so this test IS the proof
+// that the documented global order matches the code's actual nesting; in
+// NDEBUG builds it degrades to a plain integration smoke test.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -17,7 +16,6 @@
 
 #include "core/ruid2.h"
 #include "storage/element_store.h"
-#include "storage/sharded_store.h"
 #include "util/sync.h"
 #include "util/thread_pool.h"
 #include "xml/generator.h"
@@ -37,8 +35,7 @@ TEST(LockRankTest, FlusherCommitChainRunsCleanUnderValidator) {
   // Tiny pool: evictions run the synchronous write-back chain (pool mutex
   // held across wal sync + pager write); the flusher adds the async drain
   // and commit-latch chains on top.
-  auto store = ElementStore::Create("", /*buffer_pool_pages=*/8,
-                                    /*background_flusher=*/true);
+  auto store = ElementStore::Create("", /*buffer_pool_pages=*/8);
   ASSERT_TRUE(store.ok()) << store.status().ToString();
 
   auto doc = xml::GenerateDblpLike(200);
@@ -66,10 +63,10 @@ TEST(LockRankTest, ParallelBulkLoadAndCacheInvalidationRunClean) {
   core::Ruid2Scheme scheme(SmallAreas());
   scheme.Build(doc->root());
 
-  // Readers keep the ancestor-cache mutex hot while the bulk load drives
-  // the shard map / thread pool / per-shard pool chains, and an updater
-  // thread interleaves invalidations — together every rank in the table
-  // below kShardMap gets acquired, in every real combination.
+  // Readers keep the ancestor-cache mutex hot while a parallel labeling
+  // build drives the thread-pool chains, and the reader thread interleaves
+  // invalidations; the store then runs the pool / wal / pager chains of a
+  // bulk load and its commit.
   std::vector<core::Ruid2Id> ids;
   scheme.ForEachLabeled(
       [&](xml::Node*, const core::Ruid2Id& id) { ids.push_back(id); });
@@ -87,18 +84,20 @@ TEST(LockRankTest, ParallelBulkLoadAndCacheInvalidationRunClean) {
     }
   });
 
-  auto sharded = ShardedElementStore::Create("", /*pages=*/8);
-  ASSERT_TRUE(sharded.ok());
+  core::Ruid2Scheme parallel(SmallAreas());
   util::ThreadPool pool(4);
-  Status load = (*sharded)->BulkLoad(scheme, doc->root(), &pool);
+  parallel.Build(doc->root(), &pool);
   stop.store(true);
   cache_churn.join();
-  ASSERT_TRUE(load.ok()) << load.ToString();
+  ASSERT_EQ(parallel.label_count(), scheme.label_count());
 
-  // shards_mu_ held across whole-shard commits — the outermost chain.
-  ASSERT_TRUE((*sharded)->Flush().ok());
-  ASSERT_TRUE((*sharded)->VerifyOnDisk().ok());
-  EXPECT_GT((*sharded)->record_count(), 0u);
+  auto store = ElementStore::Create("", /*buffer_pool_pages=*/8);
+  ASSERT_TRUE(store.ok());
+  Status load = (*store)->BulkLoad(parallel, doc->root());
+  ASSERT_TRUE(load.ok()) << load.ToString();
+  ASSERT_TRUE((*store)->Flush().ok());
+  ASSERT_TRUE((*store)->VerifyOnDisk().ok());
+  EXPECT_EQ((*store)->record_count(), parallel.label_count());
 }
 
 TEST(LockRankTest, ValidatorCompiledStateMatchesBuild) {

@@ -1,6 +1,6 @@
 // The persistent secondary-index subsystem: Bloom filter basics, posting
 // key order, name/path index maintenance across Put/Remove/overwrite,
-// persistence across reopen, and the sharded store's Bloom shard pruning.
+// persistence across reopen, and by-name selection through the postings.
 #include "storage/secondary_index.h"
 
 #include <gtest/gtest.h>
@@ -13,8 +13,9 @@
 
 #include "storage/bloom.h"
 #include "storage/element_store.h"
-#include "storage/sharded_store.h"
 #include "testutil.h"
+#include "xml/generator.h"
+#include "xpath/name_index.h"
 
 namespace ruidx {
 namespace storage {
@@ -310,54 +311,58 @@ TEST(ElementStoreIndexTest, BloomRebuildKeepsContract) {
   EXPECT_TRUE((*store)->VerifySecondaryIndexes().ok());
 }
 
-// --- Sharded Bloom pruning ----------------------------------------------------
+// --- Name selection (Sec. 4 "Database file/table selection") ----------------
 
-TEST(ShardedStoreIndexTest, GetByIdSkipsShardsViaBloom) {
-  auto doc = ruidx::testing::MustParse(
-      "<r><a><x/><y/><z/></a><b><x/><y/></b><c><z/><w/><v/><u/></c></r>");
-  core::PartitionOptions one_area;
-  one_area.max_area_nodes = 1000;  // all nodes share one area → many names
-  core::Ruid2Scheme scheme(one_area);
+TEST(ElementStoreIndexTest, NameSelectionTouchesFewerPagesThanFullScan) {
+  // The paper names a table after (element name, area global index); the
+  // posting key [name term | global | local | flag] sorts one store by that
+  // same pair, so selecting a name reads only its posting range plus one
+  // heap fetch per match. Compare against scanning every area.
+  auto doc = xml::GenerateDblpLike(120);
+  core::PartitionOptions small_areas;
+  small_areas.max_area_nodes = 24;
+  small_areas.max_area_depth = 3;
+  core::Ruid2Scheme scheme(small_areas);
   scheme.Build(doc->root());
-  auto store = ShardedElementStore::Create("");
+  auto store = ElementStore::Create("");
   ASSERT_TRUE(store.ok());
   ASSERT_TRUE((*store)->BulkLoad(scheme, doc->root()).ok());
-  ASSERT_GT((*store)->shard_count(), 5u);
+  ASSERT_GT(scheme.ktable().rows().size(), 1u);
 
-  // Hits: every labeled node must be found without knowing its name.
-  xml::PreorderTraverse(doc->root(), [&](xml::Node* n, int) {
-    auto record = (*store)->GetById(scheme.label(n));
-    EXPECT_TRUE(record.ok()) << n->name();
-    if (record.ok()) EXPECT_EQ(record->name, n->name());
-    return true;
-  });
-
-  // Misses: ids from the same area that were never stored. Every candidate
-  // shard should be Bloom-skipped (false positives allowed but rare).
   (*store)->ResetStats();
-  const BigUint area = scheme.label(doc->root()).global;
-  for (uint64_t l = 5000; l < 5200; ++l) {
-    core::Ruid2Id id;
-    id.global = area;
-    id.local = BigUint(l);
-    EXPECT_FALSE((*store)->GetById(id).ok());
-  }
-  ShardedElementStore::ShardProbeStats probes = (*store)->probe_stats();
-  EXPECT_EQ(probes.lookups, 200u);
-  ASSERT_GT(probes.candidate_shards, 0u);
-  // ≥90% of candidate shards pruned without a tree descent.
-  EXPECT_GE(probes.bloom_skips * 10, probes.candidate_shards * 9)
-      << probes.bloom_skips << "/" << probes.candidate_shards;
+  size_t years = 0;
+  ASSERT_TRUE((*store)
+                  ->ScanNameTerm("year",
+                                 [&](const ElementRecord& record) {
+                                   EXPECT_EQ(record.name, "year");
+                                   ++years;
+                                   return true;
+                                 })
+                  .ok());
+  uint64_t selective_io = (*store)->logical_page_accesses();
 
-  // The histogram rows agree with the shard map.
-  auto infos = (*store)->ShardInfos();
-  EXPECT_EQ(infos.size(), (*store)->shard_count());
-  uint64_t total = 0;
-  for (const auto& info : infos) {
-    EXPECT_EQ(info.index.name_postings, info.records);
-    total += info.records;
+  (*store)->ResetStats();
+  size_t all = 0;
+  size_t scanned_years = 0;
+  for (const auto& row : scheme.ktable().rows()) {
+    ASSERT_TRUE((*store)
+                    ->ScanArea(row.global,
+                               [&](const ElementRecord& record) {
+                                 ++all;
+                                 if (record.name == "year") ++scanned_years;
+                                 return true;
+                               })
+                    .ok());
   }
-  EXPECT_EQ(total, (*store)->record_count());
+  uint64_t full_io = (*store)->logical_page_accesses();
+
+  xpath::NameIndex index(doc->root());
+  EXPECT_GT(years, 0u);
+  EXPECT_EQ(years, index.Lookup("year").size());
+  EXPECT_EQ(scanned_years, years);
+  EXPECT_EQ(all, (*store)->record_count());
+  EXPECT_LT(selective_io, full_io / 2)
+      << selective_io << " vs " << full_io;
 }
 
 }  // namespace
