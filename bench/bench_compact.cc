@@ -86,9 +86,13 @@ storage::BPlusTree::LeafStats LoadAndMeasure(const core::Ruid2Scheme& scheme,
   storage::SetLeafCompressionEnabled(compressed);
   storage::BPlusTree::LeafStats stats;
   auto store = storage::ElementStore::Create("");
-  if (!store.ok()) return stats;
-  if (!(*store)->BulkLoad(scheme, root).ok()) return stats;
-  (void)(*store)->ComputeLeafStats(&stats);
+  if (!store.ok()) FailBench("store create", store.status());
+  if (Status st = (*store)->BulkLoad(scheme, root); !st.ok()) {
+    FailBench("bulk load", st);
+  }
+  if (Status st = (*store)->ComputeLeafStats(&stats); !st.ok()) {
+    FailBench("leaf stats", st);
+  }
   storage::SetLeafCompressionEnabled(true);
   return stats;
 }
@@ -172,7 +176,11 @@ void PrintTables() {
     RecordPackedPair(&json, "rparent_deep", [&] {
       for (int pass = 0; pass < kSamplePasses; ++pass) {
         for (const core::Ruid2Id& id : ids) {
-          benchmark::DoNotOptimize(scheme.Parent(id));
+          auto parent = scheme.Parent(id);
+          if (!parent.ok()) {
+            FailBench("rparent " + id.ToString(), parent.status());
+          }
+          benchmark::DoNotOptimize(parent);
         }
       }
     });

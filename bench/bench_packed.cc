@@ -112,7 +112,11 @@ void PrintTables() {
     RecordPair(&json, std::string("rparent_sample_") + topology, [&] {
       for (int pass = 0; pass < kSamplePasses; ++pass) {
         for (const core::Ruid2Id& id : fixture.ids) {
-          benchmark::DoNotOptimize(fixture.ruid.Parent(id));
+          auto parent = fixture.ruid.Parent(id);
+          if (!parent.ok()) {
+            FailBench("rparent " + id.ToString(), parent.status());
+          }
+          benchmark::DoNotOptimize(parent);
         }
       }
     });
@@ -145,10 +149,9 @@ void PrintTables() {
     Fixture& fixture = GetFixture("uniform");
     RecordPair(&json, "bulkload_uniform", [&] {
       auto store = storage::ElementStore::Create("");
-      if (store.ok()) {
-        benchmark::DoNotOptimize(
-            (*store)->BulkLoad(fixture.ruid, fixture.doc->root()));
-      }
+      if (!store.ok()) FailBench("store create", store.status());
+      Status st = (*store)->BulkLoad(fixture.ruid, fixture.doc->root());
+      if (!st.ok()) FailBench("bulk load", st);
     });
 
     // The storage-layer share of the fast path in isolation: key encoding
@@ -167,24 +170,29 @@ void PrintTables() {
     }
     RecordPair(&json, "store_put_sample", [&] {
       auto store = storage::ElementStore::Create("");
-      if (!store.ok()) return;
+      if (!store.ok()) FailBench("store create", store.status());
       for (const storage::ElementRecord& record : records) {
-        benchmark::DoNotOptimize((*store)->Put(record));
+        Status st = (*store)->Put(record);
+        if (!st.ok()) FailBench("put " + record.id.ToString(), st);
       }
     });
     auto store = storage::ElementStore::Create("");
-    if (store.ok()) {
-      for (const storage::ElementRecord& record : records) {
-        (void)(*store)->Put(record);
-      }
-      RecordPair(&json, "store_get_sample", [&] {
-        for (int pass = 0; pass < 10; ++pass) {
-          for (const core::Ruid2Id& id : fixture.ids) {
-            benchmark::DoNotOptimize((*store)->Get(id));
-          }
-        }
-      });
+    if (!store.ok()) FailBench("store create", store.status());
+    for (const storage::ElementRecord& record : records) {
+      Status st = (*store)->Put(record);
+      if (!st.ok()) FailBench("put " + record.id.ToString(), st);
     }
+    RecordPair(&json, "store_get_sample", [&] {
+      for (int pass = 0; pass < 10; ++pass) {
+        for (const core::Ruid2Id& id : fixture.ids) {
+          auto got = (*store)->Get(id);
+          if (!got.ok()) {
+            FailBench("point get " + id.ToString(), got.status());
+          }
+          benchmark::DoNotOptimize(got);
+        }
+      }
+    });
   }
   json.Write();
 }
@@ -196,7 +204,12 @@ void BM_PackedRuidParent(benchmark::State& state,
   size_t i = 0;
   for (auto _ : state) {
     const core::Ruid2Id& id = fixture.ids[i++ % fixture.ids.size()];
-    benchmark::DoNotOptimize(fixture.ruid.Parent(id));
+    auto parent = fixture.ruid.Parent(id);
+    if (!parent.ok()) {
+      state.SkipWithError(parent.status().ToString().c_str());
+      break;
+    }
+    benchmark::DoNotOptimize(parent);
   }
 }
 
@@ -207,7 +220,12 @@ void BM_BigUintRuidParent(benchmark::State& state,
   size_t i = 0;
   for (auto _ : state) {
     const core::Ruid2Id& id = fixture.ids[i++ % fixture.ids.size()];
-    benchmark::DoNotOptimize(fixture.ruid.Parent(id));
+    auto parent = fixture.ruid.Parent(id);
+    if (!parent.ok()) {
+      state.SkipWithError(parent.status().ToString().c_str());
+      break;
+    }
+    benchmark::DoNotOptimize(parent);
   }
   core::SetPackedFastPathEnabled(true);
 }

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cstring>
 #include <string>
-#include <unordered_map>
 #include <unordered_set>
 #include <utility>
 #include <vector>
@@ -629,9 +628,9 @@ Result<bool> ElementStore::Exists(const core::Ruid2Id& id) {
 
 Status ElementStore::BulkLoad(const core::Ruid2Scheme& scheme,
                               xml::Node* root) {
-  // Document order encodes to ascending keys, so the whole document goes
-  // through the sorted batch path: heap appends plus one sequential index
-  // build instead of one top-down Insert per node.
+  // The whole document goes through the batch path of BulkLoadRecords:
+  // heap appends in document order plus one sequential build per index
+  // instead of one top-down Insert per node and tree.
   std::vector<ElementRecord> records;
   // Preorder visits parents before children, so a depth-indexed stack of
   // path terms always has the parent's term ready at depth-1.
@@ -658,22 +657,24 @@ Status ElementStore::BulkLoad(const core::Ruid2Scheme& scheme,
 
 Status ElementStore::BulkLoadRecords(const std::vector<ElementRecord>& records) {
   if (records.empty()) return Status::OK();
-  // The batch path needs an empty index and strictly ascending keys.
-  // Decide BEFORE appending anything: a mid-batch fallback would leave
-  // heap copies with no index entries.
+  // The batch path needs an empty index and unique identifiers. Decide
+  // BEFORE appending anything: a mid-batch fallback would leave heap copies
+  // with no index entries. Each primary entry carries its record's batch
+  // position until the append below swaps in the heap location.
   bool batch = index_->entry_count() == 0;
-  std::vector<BPlusTree::Key> keys;
+  std::vector<std::pair<BPlusTree::Key, uint64_t>> entries;
   if (batch) {
-    keys.reserve(records.size());
-    for (const ElementRecord& record : records) {
-      auto key = EncodeIdKey(record.id);
-      if (!key.ok()) return key.status();
-      if (!keys.empty() && !(keys.back() < *key)) {
-        batch = false;
-        break;
-      }
-      keys.push_back(*key);
+    entries.reserve(records.size());
+    for (size_t i = 0; i < records.size(); ++i) {
+      RUIDX_ASSIGN_OR_RETURN(BPlusTree::Key key, EncodeIdKey(records[i].id));
+      entries.emplace_back(key, i);
     }
+    std::sort(entries.begin(), entries.end());
+    // A repeated id must resolve as sequential Puts do: last record wins.
+    batch = std::adjacent_find(entries.begin(), entries.end(),
+                               [](const auto& a, const auto& b) {
+                                 return a.first == b.first;
+                               }) == entries.end();
   }
   if (!batch) {
     for (const ElementRecord& record : records) {
@@ -682,31 +683,33 @@ Status ElementStore::BulkLoadRecords(const std::vector<ElementRecord>& records) 
     return Status::OK();
   }
   // Resolve path terms and encode every posting key up front, so the first
-  // append happens only after the whole batch is known to encode. Document
-  // order puts parents before children, so a transient id→term map covers
-  // in-batch parent lookups without touching the (still empty) store.
+  // append happens only after the whole batch is known to encode. A parent
+  // earlier in the batch already has its term; a later or absent parent is
+  // not in the store yet when Put would resolve it, so the bare name seeds
+  // the term (see ResolvePathTerm).
   std::vector<uint64_t> terms(records.size());
   std::vector<std::pair<BPlusTree::Key, uint64_t>> name_postings;
   std::vector<std::pair<BPlusTree::Key, uint64_t>> path_postings;
   name_postings.reserve(records.size());
   path_postings.reserve(records.size());
-  std::unordered_map<core::Ruid2Id, uint64_t, core::Ruid2IdHash> term_of;
-  term_of.reserve(records.size());
   for (size_t i = 0; i < records.size(); ++i) {
     const ElementRecord& record = records[i];
     uint64_t term = record.path_term;
-    if (term == 0) {
-      if (record.parent_id == record.id) {
-        term = RootPathTerm(record.name);
-      } else if (auto it = term_of.find(record.parent_id);
-                 it != term_of.end()) {
-        term = ExtendPathTerm(it->second, record.name);
-      } else {
-        term = HashNameTerm(record.name);  // no parent record (see Put)
-      }
+    if (term == 0 && record.parent_id == record.id) {
+      term = RootPathTerm(record.name);
+    } else if (term == 0) {
+      RUIDX_ASSIGN_OR_RETURN(BPlusTree::Key parent_key,
+                             EncodeIdKey(record.parent_id));
+      auto it = std::lower_bound(
+          entries.begin(), entries.end(), parent_key,
+          [](const std::pair<BPlusTree::Key, uint64_t>& entry,
+             const BPlusTree::Key& key) { return entry.first < key; });
+      bool earlier = it != entries.end() && it->first == parent_key &&
+                     it->second < i;
+      term = earlier ? ExtendPathTerm(terms[it->second], record.name)
+                     : HashNameTerm(record.name);
     }
     terms[i] = term;
-    term_of.emplace(record.id, term);
     RUIDX_ASSIGN_OR_RETURN(
         BPlusTree::Key name_key,
         EncodePostingKey(HashNameTerm(record.name), record.id));
@@ -715,16 +718,18 @@ Status ElementStore::BulkLoadRecords(const std::vector<ElementRecord>& records) 
     name_postings.emplace_back(name_key, 0);
     path_postings.emplace_back(path_key, 0);
   }
-  std::vector<std::pair<BPlusTree::Key, uint64_t>> entries;
-  entries.reserve(records.size());
-  bloom_ = BloomFilter::ForExpectedKeys(records.size() * 2);
+  // The heap keeps batch (document) order, so a subtree's records share
+  // heap pages; only the index entries are sorted.
+  std::vector<uint64_t> locations(records.size());
   for (size_t i = 0; i < records.size(); ++i) {
-    RUIDX_ASSIGN_OR_RETURN(uint64_t location,
-                           AppendRecord(records[i], terms[i]));
-    entries.emplace_back(keys[i], location);
-    name_postings[i].second = location;
-    path_postings[i].second = location;
-    bloom_.Add(IdKeyHash(keys[i]));
+    RUIDX_ASSIGN_OR_RETURN(locations[i], AppendRecord(records[i], terms[i]));
+    name_postings[i].second = locations[i];
+    path_postings[i].second = locations[i];
+  }
+  bloom_ = BloomFilter::ForExpectedKeys(records.size() * 2);
+  for (auto& [key, position] : entries) {
+    position = locations[position];
+    bloom_.Add(IdKeyHash(key));
   }
   RUIDX_RETURN_NOT_OK(index_->BulkLoadSorted(entries));
   // Posting keys lead with the term hash, so they arrive in hash order —

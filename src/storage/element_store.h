@@ -146,11 +146,11 @@ class ElementStore {
   /// Loads every labeled node of `doc` under `scheme`.
   Status BulkLoad(const core::Ruid2Scheme& scheme, xml::Node* root);
 
-  /// Inserts a batch of records. When the store is empty and the batch is
-  /// already in ascending identifier order (labels emitted in document
-  /// order always are), the index is built by the B+tree's sequential
-  /// batch path — leaves filled back to back, no top-down descents —
-  /// otherwise this degrades to a Put loop.
+  /// Inserts a batch of records, in any order. When the store is empty and
+  /// no identifier repeats, records are appended to the heap in batch order
+  /// and each index is sorted and built by the B+tree's sequential batch
+  /// path — leaves filled back to back, no top-down descents. Otherwise
+  /// this degrades to a Put loop (a repeated id: the last record wins).
   Status BulkLoadRecords(const std::vector<ElementRecord>& records);
 
   /// Scans all records of one UID-local area (one identifier-prefix range).

@@ -33,7 +33,6 @@ constexpr size_t kPrevOff = 8;
 constexpr size_t kPrefixLenOff = 12;
 constexpr size_t kDataEndOff = 14;
 constexpr size_t kPrefixOff = 16;
-constexpr size_t kEntryFixed = 2 + 8;  // shared + suffix_len bytes, value
 
 uint16_t LoadU16(const uint8_t* p) {
   uint16_t v;
@@ -228,7 +227,9 @@ bool BuildLeaf(uint8_t* page, const Entry* entries, size_t n, uint32_t next,
 size_t MaxLeafTake(const Entry* entries, size_t i, size_t n) {
   RUIDX_DCHECK(i < n, "MaxLeafTake past the end");
   // Largest k with EncodedSize <= page, by binary search; k = 1 always fits.
-  size_t lo = 1, hi = n - i;
+  // EncodedSize is monotone in k and every entry costs at least kEntryFixed
+  // bytes, so no k past one page's worth of entries can fit.
+  size_t lo = 1, hi = std::min(n - i, kPageUsableSize / kEntryFixed);
   while (lo < hi) {
     size_t mid = (lo + hi + 1) / 2;
     if (EncodedSize(entries, i, mid) <= kPageUsableSize) {
@@ -397,6 +398,16 @@ void EraseAt(uint8_t* page, size_t idx) {
   size_t run_start = RestartIndex(page, r);
   size_t run_end = r + 1 < RestartCount(page) ? RestartIndex(page, r + 1)
                                               : count;
+  // A run that InsertAt stretched past kRestartInterval encodes its entry
+  // at kRestartInterval as a second head (shared == 0) with no directory
+  // pair. Erasing ahead of that head would move the head onto the next
+  // entry, which can make the run longer than before — past the directory
+  // on a full page. Instead the head gets its own directory pair and only
+  // the part before it is re-encoded: that part shrinks by more than the
+  // 4 bytes the pair takes, and the bytes after it stay as they are.
+  const bool split_run = run_end - run_start > kRestartInterval &&
+                         idx < run_start + kRestartInterval;
+  if (split_run) run_end = run_start + kRestartInterval;
   std::vector<Entry> run;
   run.reserve(run_end - run_start);
   c.SeekRun(r);
@@ -414,6 +425,17 @@ void EraseAt(uint8_t* page, size_t idx) {
   SpliceRun(page, r, run_start_off, old_run_end_off, encoded, encoded_len,
             /*index_delta=*/-1);
   SetPageCount(page, static_cast<uint16_t>(count - 1));
+  if (split_run) {
+    size_t nrestart = RestartCount(page);
+    for (size_t j = nrestart; j > r + 1; --j) {
+      SetRestart(page, j, RestartOffset(page, j - 1),
+                 RestartIndex(page, j - 1));
+    }
+    SetRestart(page, r + 1,
+               static_cast<uint16_t>(run_start_off + encoded_len),
+               static_cast<uint16_t>(run_end - 1));
+    SetRestartCount(page, static_cast<uint16_t>(nrestart + 1));
+  }
 }
 
 Status ValidateLeaf(const uint8_t* page) {

@@ -60,6 +60,11 @@ constexpr uint8_t kLeafFormatCompressed = 2;
 constexpr size_t kRestartInterval = 16;
 constexpr size_t kMaxRunLength = 2 * kRestartInterval;
 
+/// Per-entry bytes besides the key suffix: u8 shared, u8 suffix_len, u64
+/// value. Every entry costs at least this much, so no page holds more than
+/// kPageUsableSize / kEntryFixed entries.
+constexpr size_t kEntryFixed = 2 + 8;
+
 struct Entry {
   Key key;
   uint64_t value;
@@ -76,7 +81,9 @@ bool BuildLeaf(uint8_t* page, const Entry* entries, size_t n, uint32_t next,
                uint32_t prev);
 
 /// Number of entries of `entries[i..n)` that fit in one compressed page
-/// (at least 1 for i < n; a single entry always fits).
+/// (at least 1 for i < n; a single entry always fits). The search window is
+/// capped at one page's worth of entries, so a call costs O(page), not
+/// O(n - i).
 size_t MaxLeafTake(const Entry* entries, size_t i, size_t n);
 
 /// The key of slot `i` (restart-directory seek + run decode).

@@ -70,14 +70,15 @@ Status VersionedDocument::Delete(const core::Ruid2Id& target) {
   if (victim == nullptr) {
     return Status::NotFound("no node carries identifier " + target.ToString());
   }
-  RUIDX_ASSIGN_OR_RETURN(core::UpdateReport report,
-                         scheme_.RemoveAndRelabel(doc_.get(), victim));
-  total_relabeled_ += report.relabeled;
-
+  // Copy the target first: a caller may pass a reference into the scheme's
+  // label table, and the relabel below erases the victim's entry.
   Operation op;
   op.kind = Operation::Kind::kDelete;
   op.sequence = journal_.size() + 1;
   op.target = target;
+  RUIDX_ASSIGN_OR_RETURN(core::UpdateReport report,
+                         scheme_.RemoveAndRelabel(doc_.get(), victim));
+  total_relabeled_ += report.relabeled;
   journal_.push_back(std::move(op));
   ++version_;
   return Status::OK();

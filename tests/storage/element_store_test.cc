@@ -2,7 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
+#include <random>
+#include <set>
+#include <string>
 #include <vector>
 
 #include "testutil.h"
@@ -235,6 +239,236 @@ TEST(ElementStoreEdgeTest, LargeDocumentManyPages) {
     ASSERT_TRUE(record.ok());
     EXPECT_EQ(record->name, nodes[i]->name());
   }
+}
+
+// Every node as a record, in document order, with the path term left for
+// the store to resolve from the parent record.
+std::vector<ElementRecord> DocumentRecords(const core::Ruid2Scheme& scheme,
+                                           xml::Node* root) {
+  std::vector<ElementRecord> records;
+  xml::PreorderTraverse(root, [&](xml::Node* n, int) {
+    ElementRecord record;
+    record.id = scheme.label(n);
+    record.parent_id = n == root ? record.id : scheme.label(n->parent());
+    record.node_type = static_cast<uint8_t>(n->type());
+    record.name = n->name();
+    if (!n->is_element()) record.value = n->value();
+    records.push_back(std::move(record));
+    return true;
+  });
+  return records;
+}
+
+std::string Describe(const ElementRecord& r) {
+  return r.id.ToString() + " parent=" + r.parent_id.ToString() +
+         " type=" + std::to_string(r.node_type) + " name=" + r.name +
+         " value=" + r.value + " path=" + std::to_string(r.path_term);
+}
+
+// What a store answers, independent of where its pages and heap slots
+// landed: the primary scan in key order, both posting sets as (term, id),
+// and the records each posting term resolves to through its locations.
+struct StoreImage {
+  std::vector<std::string> rows;
+  std::set<std::string> name_postings;
+  std::set<std::string> path_postings;
+  std::multiset<std::string> name_records;
+  std::multiset<std::string> path_records;
+};
+
+StoreImage Capture(ElementStore* store) {
+  StoreImage image;
+  std::set<std::string> names;
+  std::set<uint64_t> path_terms;
+  EXPECT_TRUE(store
+                  ->ScanAll([&](const BPlusTree::Key& key,
+                                const ElementRecord& record) {
+                    image.rows.push_back(
+                        std::string(key.begin(), key.end()) + "|" +
+                        Describe(record));
+                    names.insert(record.name);
+                    return true;
+                  })
+                  .ok());
+  EXPECT_TRUE(store
+                  ->ScanNamePostings([&](uint64_t term,
+                                         const core::Ruid2Id& id, uint64_t) {
+                    image.name_postings.insert(std::to_string(term) + "|" +
+                                               id.ToString());
+                    return true;
+                  })
+                  .ok());
+  EXPECT_TRUE(store
+                  ->ScanPathPostings([&](uint64_t term,
+                                         const core::Ruid2Id& id, uint64_t) {
+                    image.path_postings.insert(std::to_string(term) + "|" +
+                                               id.ToString());
+                    path_terms.insert(term);
+                    return true;
+                  })
+                  .ok());
+  for (const std::string& name : names) {
+    EXPECT_TRUE(store
+                    ->ScanNameTerm(name,
+                                   [&](const ElementRecord& record) {
+                                     image.name_records.insert(
+                                         name + "|" + Describe(record));
+                                     return true;
+                                   })
+                    .ok());
+  }
+  for (uint64_t term : path_terms) {
+    EXPECT_TRUE(store
+                    ->ScanPathTerm(term,
+                                   [&](const ElementRecord& record) {
+                                     image.path_records.insert(
+                                         std::to_string(term) + "|" +
+                                         Describe(record));
+                                     return true;
+                                   })
+                    .ok());
+  }
+  return image;
+}
+
+void ExpectSameImage(const StoreImage& a, const StoreImage& b) {
+  EXPECT_EQ(a.rows, b.rows);
+  EXPECT_EQ(a.name_postings, b.name_postings);
+  EXPECT_EQ(a.path_postings, b.path_postings);
+  EXPECT_EQ(a.name_records, b.name_records);
+  EXPECT_EQ(a.path_records, b.path_records);
+}
+
+void ExpectClean(ElementStore* store) {
+  ASSERT_TRUE(store->Flush().ok());
+  Status on_disk = store->VerifyOnDisk();
+  EXPECT_TRUE(on_disk.ok()) << on_disk.ToString();
+  Status secondary = store->VerifySecondaryIndexes();
+  EXPECT_TRUE(secondary.ok()) << secondary.ToString();
+}
+
+std::unique_ptr<ElementStore> MustCreate(const std::string& path) {
+  std::remove(path.c_str());
+  std::remove((path + ".wal").c_str());
+  auto store = ElementStore::Create(path, 16);
+  EXPECT_TRUE(store.ok()) << store.status().ToString();
+  return store.ok() ? store.MoveValueUnsafe() : nullptr;
+}
+
+std::unique_ptr<ElementStore> PutAll(
+    const std::vector<ElementRecord>& records) {
+  auto store = ElementStore::Create("", 16);
+  EXPECT_TRUE(store.ok());
+  for (const ElementRecord& record : records) {
+    EXPECT_TRUE((*store)->Put(record).ok());
+  }
+  return store.MoveValueUnsafe();
+}
+
+TEST(ElementStoreBatchTest, MultiAreaBulkLoadMatchesPutLoop) {
+  auto doc = xml::GenerateDblpLike(150);
+  core::Ruid2Scheme scheme(SmallAreas());
+  scheme.Build(doc->root());
+  std::vector<ElementRecord> records = DocumentRecords(scheme, doc->root());
+  // Many areas, so document order is not key order: preorder re-enters a
+  // parent area after leaving a child area.
+  ASSERT_GT(scheme.partition().areas.size(), 10u);
+  bool descends = false;
+  for (size_t i = 1; i < records.size() && !descends; ++i) {
+    descends = *EncodeIdKey(records[i].id) < *EncodeIdKey(records[i - 1].id);
+  }
+  ASSERT_TRUE(descends) << "document order must not be key order here";
+
+  std::string bulk_path = ::testing::TempDir() + "/ruidx_batch_bulk.db";
+  std::string put_path = ::testing::TempDir() + "/ruidx_batch_put.db";
+  StoreImage bulk_image, put_image;
+  {
+    auto bulk = MustCreate(bulk_path);
+    auto put = MustCreate(put_path);
+    ASSERT_TRUE(bulk && put);
+    ASSERT_TRUE(bulk->BulkLoad(scheme, doc->root()).ok());
+    for (const ElementRecord& record : records) {
+      ASSERT_TRUE(put->Put(record).ok());
+    }
+    EXPECT_EQ(bulk->record_count(), records.size());
+    ExpectClean(bulk.get());
+    ExpectClean(put.get());
+    // Sequential leaf fill allocates no split siblings: fewer pages prove
+    // the batch path ran.
+    EXPECT_LT(bulk->pager_stats().allocations, put->pager_stats().allocations);
+    bulk_image = Capture(bulk.get());
+    put_image = Capture(put.get());
+    ASSERT_EQ(bulk_image.rows.size(), records.size());
+    ExpectSameImage(bulk_image, put_image);
+  }
+  for (const std::string& path : {bulk_path, put_path}) {
+    auto reopened = ElementStore::Open(path, 16);
+    ASSERT_TRUE(reopened.ok()) << reopened.status().ToString();
+    ExpectClean(reopened->get());
+    ExpectSameImage(Capture(reopened->get()), bulk_image);
+    reopened->reset();
+    std::remove(path.c_str());
+    std::remove((path + ".wal").c_str());
+  }
+}
+
+TEST(ElementStoreBatchTest, DuplicateIdBatchMatchesSequentialPut) {
+  auto doc = xml::GenerateDblpLike(40);
+  core::Ruid2Scheme scheme(SmallAreas());
+  scheme.Build(doc->root());
+  std::vector<ElementRecord> records = DocumentRecords(scheme, doc->root());
+  // Re-send two records under new names: the later copy must win, and its
+  // postings must replace the earlier copy's.
+  for (size_t i : {size_t{3}, records.size() / 2}) {
+    ElementRecord again = records[i];
+    again.name = "renamed" + std::to_string(i);
+    again.value = "second";
+    records.push_back(again);
+  }
+  auto bulk = ElementStore::Create("", 16);
+  ASSERT_TRUE(bulk.ok());
+  ASSERT_TRUE((*bulk)->BulkLoadRecords(records).ok());
+  auto put = PutAll(records);
+  EXPECT_EQ((*bulk)->record_count(), records.size() - 2);
+  ExpectClean(bulk->get());
+  ExpectSameImage(Capture(bulk->get()), Capture(put.get()));
+}
+
+TEST(ElementStoreBatchTest, BulkLoadRecordsIntoNonEmptyStore) {
+  auto doc = xml::GenerateDblpLike(40);
+  core::Ruid2Scheme scheme(SmallAreas());
+  scheme.Build(doc->root());
+  std::vector<ElementRecord> records = DocumentRecords(scheme, doc->root());
+  size_t half = records.size() / 2;
+  auto store = ElementStore::Create("", 16);
+  ASSERT_TRUE(store.ok());
+  for (size_t i = 0; i < half; ++i) {
+    ASSERT_TRUE((*store)->Put(records[i]).ok());
+  }
+  std::vector<ElementRecord> rest(records.begin() + half, records.end());
+  ASSERT_TRUE((*store)->BulkLoadRecords(rest).ok());
+  EXPECT_EQ((*store)->record_count(), records.size());
+  ExpectClean(store->get());
+  ExpectSameImage(Capture(store->get()), Capture(PutAll(records).get()));
+}
+
+TEST(ElementStoreBatchTest, ShuffledBatchResolvesTermsLikePut) {
+  // Out of document order, some children arrive before their parents;
+  // the batch must seed those terms from the bare name, as Put does when
+  // the parent is not stored yet.
+  auto doc = xml::GenerateDblpLike(40);
+  core::Ruid2Scheme scheme(SmallAreas());
+  scheme.Build(doc->root());
+  std::vector<ElementRecord> records = DocumentRecords(scheme, doc->root());
+  std::mt19937_64 rng(13);
+  std::shuffle(records.begin(), records.end(), rng);
+  auto bulk = ElementStore::Create("", 16);
+  ASSERT_TRUE(bulk.ok());
+  ASSERT_TRUE((*bulk)->BulkLoadRecords(records).ok());
+  auto put = PutAll(records);
+  EXPECT_LT((*bulk)->pager_stats().allocations, put->pager_stats().allocations);
+  ExpectClean(bulk->get());
+  ExpectSameImage(Capture(bulk->get()), Capture(put.get()));
 }
 
 TEST(ElementStoreBloomTest, FalsePositiveRateRecoversAfterChurn) {

@@ -178,6 +178,32 @@ TEST(LeafCodecTest, MaxLeafTakeIsExact) {
       << "MaxLeafTake must be the largest fitting count";
 }
 
+TEST(LeafCodecTest, MaxLeafTakeLooksOnlyOnePageAhead) {
+  // The search window is one page's worth of entries, whatever the length
+  // of the rest of the batch: a 100k-entry span gives the same answer as
+  // its first kPageUsableSize / kEntryFixed entries, and that answer is
+  // still the largest count BuildLeaf accepts.
+  constexpr size_t kWindow = kPageUsableSize / leaf::kEntryFixed;
+  std::mt19937_64 rng(20261017);
+  std::vector<Entry> dense;  // consecutive locals: one-byte suffixes
+  for (uint64_t local = 0; local < 120000; ++local) {
+    dense.push_back({MakeKey(9, local), local});
+  }
+  for (const std::vector<Entry>& entries :
+       {dense, RandomCorpus(&rng, 120000)}) {
+    ASSERT_GT(entries.size(), 100000u);
+    for (size_t i : {size_t{0}, size_t{777}, entries.size() / 2}) {
+      size_t take = leaf::MaxLeafTake(entries.data(), i, entries.size());
+      EXPECT_EQ(take, leaf::MaxLeafTake(entries.data(), i, i + kWindow))
+          << "i=" << i;
+      std::vector<uint8_t> page(kPageUsableSize, 0);
+      EXPECT_TRUE(leaf::BuildLeaf(page.data(), entries.data() + i, take, 0, 0));
+      EXPECT_FALSE(
+          leaf::BuildLeaf(page.data(), entries.data() + i, take + 1, 0, 0));
+    }
+  }
+}
+
 TEST(LeafCodecTest, InsertEraseAtRestartEdges) {
   // Build a page whose slots land exactly on restart boundaries, then
   // exercise the run-local edit paths at every edge: slot 0, run heads,
@@ -220,6 +246,41 @@ TEST(LeafCodecTest, InsertEraseAtRestartEdges) {
     erase(0);
   }
   EXPECT_EQ(leaf::ValidateLeaf(page.data()).ok(), true);
+}
+
+TEST(LeafCodecTest, EraseAheadOfStretchedRunHeadShrinksThePage) {
+  // InsertAt stretches run 0 to 18 slots; its slot 16, (6, 1), is then
+  // encoded as a second head with the full 18-byte suffix. Erasing slot 0
+  // must not shift that head onto (6, 2): the run would grow by 5 bytes,
+  // and on a full page run into the restart directory.
+  std::vector<Entry> entries;
+  for (uint64_t lo = 1; lo <= 14; ++lo) entries.push_back({MakeKey(5, lo), lo});
+  for (uint64_t lo = 1; lo <= 12; ++lo) {
+    entries.push_back({MakeKey(6, lo), 100 + lo});
+  }
+  std::vector<uint8_t> page(kPageUsableSize, 0);
+  ASSERT_TRUE(
+      leaf::BuildLeaf(page.data(), entries.data(), entries.size(), 0, 0));
+  for (uint64_t lo : {1, 2}) {
+    Entry e{MakeKey(5, lo, 1), 50 + lo};
+    bool exact = false;
+    size_t idx = leaf::LowerBound(page.data(), e.key, &exact);
+    ASSERT_EQ(leaf::InsertAt(page.data(), idx, e.key, e.value),
+              leaf::InsertOutcome::kDone);
+    entries.insert(entries.begin() + idx, e);
+  }
+  ExpectPageMatches(page.data(), entries);
+  while (entries.size() > leaf::kRestartInterval) {
+    leaf::PageStats before;
+    leaf::AccumulateStats(page.data(), &before);
+    leaf::EraseAt(page.data(), 0);
+    entries.erase(entries.begin());
+    ExpectPageMatches(page.data(), entries);
+    leaf::PageStats after;
+    leaf::AccumulateStats(page.data(), &after);
+    EXPECT_LT(after.key_bytes_stored, before.key_bytes_stored)
+        << entries.size() << " entries left";
+  }
 }
 
 TEST(LeafCodecTest, InsertReportsRebuildWhenRunOverflows) {
