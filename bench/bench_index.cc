@@ -101,6 +101,16 @@ struct Fixture {
   }
 };
 
+/// Evaluates `query`, failing the bench on an error: a timing of a failed
+/// evaluation would measure the error path.
+void MustEvaluate(xpath::RuidEvaluator& eval, const char* query) {
+  auto result = eval.Evaluate(query);
+  if (!result.ok()) {
+    FailBench(std::string("evaluate ") + query, result.status());
+  }
+  benchmark::DoNotOptimize(result);
+}
+
 Fixture& UniformFixture() {
   static Fixture fixture("uniform");
   return fixture;
@@ -170,9 +180,9 @@ void IndexTables() {
       bool agree = via_index.ok() && via_scan.ok() &&
                    *via_index == *via_scan && !via_index->empty();
       double ms_on =
-          TimeMs([&fixture, query]() { (void)fixture.indexed->Evaluate(query); });
+          TimeMs([&fixture, query]() { MustEvaluate(*fixture.indexed, query); });
       double ms_off =
-          TimeMs([&fixture, query]() { (void)fixture.plain->Evaluate(query); });
+          TimeMs([&fixture, query]() { MustEvaluate(*fixture.plain, query); });
       // A disagreement zeroes the reported speedup so the CI floor fails
       // loudly instead of shipping a fast wrong answer.
       double speedup = agree && ms_on > 0 ? ms_off / ms_on : 0.0;
@@ -236,7 +246,12 @@ void BM_DescendantStep(benchmark::State& state, bool use_index) {
   xpath::RuidEvaluator& eval =
       use_index ? *fixture.indexed : *fixture.plain;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(eval.Evaluate("//t3"));
+    auto result = eval.Evaluate("//t3");
+    if (!result.ok()) {
+      state.SkipWithError(result.status().ToString().c_str());
+      return;
+    }
+    benchmark::DoNotOptimize(result);
   }
 }
 BENCHMARK_CAPTURE(BM_DescendantStep, indexed, true);
@@ -250,7 +265,13 @@ void BM_PointGetMiss(benchmark::State& state) {
   }
   for (auto _ : state) {
     for (const core::Ruid2Id& id : fixture.miss_ids) {
-      benchmark::DoNotOptimize(fixture.store->Get(id));
+      auto got = fixture.store->Get(id);
+      if (got.ok() || !got.status().IsNotFound()) {
+        state.SkipWithError(got.ok() ? "miss id found"
+                                     : got.status().ToString().c_str());
+        return;
+      }
+      benchmark::DoNotOptimize(got);
     }
   }
 }

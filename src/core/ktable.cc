@@ -23,13 +23,17 @@ struct PackedGlobalLess {
 
 constexpr uint64_t kPackedLocalLimit = uint64_t{1} << 63;
 
+/// True iff a row's root_local is within the packed local range.
+bool PackableRootLocal(const BigUint& root_local) {
+  return root_local.FitsUint64() && root_local.ToUint64() < kPackedLocalLimit;
+}
+
 }  // namespace
 
 void KTable::SyncPacked(const KRow& row) {
   if (!row.global.FitsUint128()) return;  // never had a mirror entry
   uint128_t g = row.global.ToUint128();
-  bool packable =
-      row.root_local.FitsUint64() && row.root_local.ToUint64() < kPackedLocalLimit;
+  bool packable = PackableRootLocal(row.root_local);
   auto it = std::lower_bound(packed_rows_.begin(), packed_rows_.end(), g,
                              PackedGlobalLess());
   bool present = it != packed_rows_.end() && it->global == g;
@@ -58,11 +62,30 @@ bool KTable::PackedMirrorAgrees(const KRow& row) const {
     return true;  // outside the mirror's key space by definition
   }
   const PackedKRow* mirror = FindPacked(row.global.ToUint128());
-  bool packable =
-      row.root_local.FitsUint64() && row.root_local.ToUint64() < kPackedLocalLimit;
+  bool packable = PackableRootLocal(row.root_local);
   if (!packable) return mirror == nullptr;
   return mirror != nullptr && mirror->root_local == row.root_local.ToUint64() &&
          mirror->fanout == row.fanout;
+}
+
+void KTable::Assign(std::vector<KRow> rows) {
+  rows_ = std::move(rows);
+  std::sort(rows_.begin(), rows_.end(), [](const KRow& a, const KRow& b) {
+    return a.global < b.global;
+  });
+  packed_rows_.clear();
+  for (const KRow& row : rows_) {
+    if (row.global.FitsUint128() && PackableRootLocal(row.root_local)) {
+      packed_rows_.push_back(
+          PackedKRow{row.global.ToUint128(), row.root_local.ToUint64(),
+                     row.fanout});
+    }
+  }
+  RUIDX_DCHECK(std::adjacent_find(rows_.begin(), rows_.end(),
+                                  [](const KRow& a, const KRow& b) {
+                                    return a.global == b.global;
+                                  }) == rows_.end(),
+               "K rows repeat a global index in Assign");
 }
 
 void KTable::Upsert(KRow row) {

@@ -37,10 +37,15 @@ struct PackedKRow {
 /// global index"), looked up by binary search. A parallel sorted vector of
 /// PackedKRow mirrors every row within the packed range, so the fast path
 /// binary-searches plain uint64 keys; the two representations are kept in
-/// sync by routing every mutation through Upsert/Erase/SetFanout/
+/// sync by routing every mutation through Assign/Upsert/Erase/SetFanout/
 /// SetRootLocal.
 class KTable {
  public:
+  /// Replaces the whole table with `rows` (any order, globals distinct):
+  /// one sort, then the packed mirror in one pass. The bulk counterpart of
+  /// an Upsert per row, which would shift the sorted vector every time.
+  void Assign(std::vector<KRow> rows);
+
   /// Inserts or replaces the row for `row.global`.
   void Upsert(KRow row);
 
@@ -80,10 +85,6 @@ class KTable {
   /// packed range, and no entry otherwise. Probed by the mutation-point
   /// RUIDX_DCHECKs and by the analysis::CheckDocumentInvariants verifier.
   bool PackedMirrorAgrees(const KRow& row) const;
-  void Clear() {
-    rows_.clear();
-    packed_rows_.clear();
-  }
 
   /// Approximate main-memory footprint, reported by the benchmarks.
   uint64_t SizeInBytes() const;

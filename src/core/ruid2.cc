@@ -152,8 +152,10 @@ void Ruid2Scheme::Build(xml::Node* root, util::ThreadPool* pool) {
   partition_ = partition.MoveValueUnsafe();
   labels_.clear();
   by_id_.clear();
-  ktable_.Clear();
   area_by_global_.clear();
+  labels_.reserve(partition_.member_area.size());
+  by_id_.reserve(partition_.member_area.size());
+  area_by_global_.reserve(partition_.areas.size());
   area_globals_.assign(partition_.areas.size(), BigUint(0));
   ancestor_cache_.Clear();
 
@@ -176,11 +178,15 @@ void Ruid2Scheme::Build(xml::Node* root, util::ThreadPool* pool) {
     area_globals_[f.area] = std::move(f.global);
   }
 
-  // Seed table K; root_local values are patched during local enumeration.
+  // Seed table K in one sort; root_local values are patched during local
+  // enumeration.
+  std::vector<KRow> rows;
+  rows.reserve(partition_.areas.size());
   for (uint32_t i = 0; i < partition_.areas.size(); ++i) {
-    ktable_.Upsert(KRow{area_globals_[i], BigUint(i == 0 ? 1 : 0),
+    rows.push_back(KRow{area_globals_[i], BigUint(i == 0 ? 1 : 0),
                         partition_.areas[i].local_fanout});
   }
+  ktable_.Assign(std::move(rows));
 
   // The main root is (1, 1, true) by Def. 3.
   SetLabel(root, Ruid2RootId(), nullptr);

@@ -655,6 +655,37 @@ Status ElementStore::BulkLoad(const core::Ruid2Scheme& scheme,
   return BulkLoadRecords(records);
 }
 
+namespace {
+
+using KeyedEntries = std::vector<std::pair<BPlusTree::Key, uint64_t>>;
+
+/// The postings (term_i, records[i].id) in posting-key order, each carrying
+/// its batch position i. `primary` holds the batch's primary keys sorted,
+/// each with its batch position. A posting key is [term | global | local |
+/// flag], and its id bytes order like the primary key's (both big-endian
+/// global, local, flag), so sorting (term, rank in primary-key order) pairs
+/// yields posting-key order without comparing 33-byte keys.
+Result<KeyedEntries> SortedPostings(const std::vector<ElementRecord>& records,
+                                    const std::vector<uint64_t>& terms,
+                                    const KeyedEntries& primary) {
+  std::vector<std::pair<uint64_t, size_t>> order(primary.size());
+  for (size_t k = 0; k < primary.size(); ++k) {
+    order[k] = {terms[primary[k].second], k};
+  }
+  std::sort(order.begin(), order.end());
+  KeyedEntries postings(order.size());
+  for (size_t k = 0; k < order.size(); ++k) {
+    uint64_t position = primary[order[k].second].second;
+    RUIDX_ASSIGN_OR_RETURN(
+        postings[k].first,
+        EncodePostingKey(order[k].first, records[position].id));
+    postings[k].second = position;
+  }
+  return postings;
+}
+
+}  // namespace
+
 Status ElementStore::BulkLoadRecords(const std::vector<ElementRecord>& records) {
   if (records.empty()) return Status::OK();
   // The batch path needs an empty index and unique identifiers. Decide
@@ -662,7 +693,7 @@ Status ElementStore::BulkLoadRecords(const std::vector<ElementRecord>& records) 
   // with no index entries. Each primary entry carries its record's batch
   // position until the append below swaps in the heap location.
   bool batch = index_->entry_count() == 0;
-  std::vector<std::pair<BPlusTree::Key, uint64_t>> entries;
+  KeyedEntries entries;
   if (batch) {
     entries.reserve(records.size());
     for (size_t i = 0; i < records.size(); ++i) {
@@ -688,10 +719,6 @@ Status ElementStore::BulkLoadRecords(const std::vector<ElementRecord>& records) 
   // not in the store yet when Put would resolve it, so the bare name seeds
   // the term (see ResolvePathTerm).
   std::vector<uint64_t> terms(records.size());
-  std::vector<std::pair<BPlusTree::Key, uint64_t>> name_postings;
-  std::vector<std::pair<BPlusTree::Key, uint64_t>> path_postings;
-  name_postings.reserve(records.size());
-  path_postings.reserve(records.size());
   for (size_t i = 0; i < records.size(); ++i) {
     const ElementRecord& record = records[i];
     uint64_t term = record.path_term;
@@ -702,7 +729,7 @@ Status ElementStore::BulkLoadRecords(const std::vector<ElementRecord>& records) 
                              EncodeIdKey(record.parent_id));
       auto it = std::lower_bound(
           entries.begin(), entries.end(), parent_key,
-          [](const std::pair<BPlusTree::Key, uint64_t>& entry,
+          [](const KeyedEntries::value_type& entry,
              const BPlusTree::Key& key) { return entry.first < key; });
       bool earlier = it != entries.end() && it->first == parent_key &&
                      it->second < i;
@@ -710,37 +737,30 @@ Status ElementStore::BulkLoadRecords(const std::vector<ElementRecord>& records) 
                      : HashNameTerm(record.name);
     }
     terms[i] = term;
-    RUIDX_ASSIGN_OR_RETURN(
-        BPlusTree::Key name_key,
-        EncodePostingKey(HashNameTerm(record.name), record.id));
-    RUIDX_ASSIGN_OR_RETURN(BPlusTree::Key path_key,
-                           EncodePostingKey(term, record.id));
-    name_postings.emplace_back(name_key, 0);
-    path_postings.emplace_back(path_key, 0);
   }
+  std::vector<uint64_t> name_terms(records.size());
+  for (size_t i = 0; i < records.size(); ++i) {
+    name_terms[i] = HashNameTerm(records[i].name);
+  }
+  RUIDX_ASSIGN_OR_RETURN(auto name_postings,
+                         SortedPostings(records, name_terms, entries));
+  RUIDX_ASSIGN_OR_RETURN(auto path_postings,
+                         SortedPostings(records, terms, entries));
   // The heap keeps batch (document) order, so a subtree's records share
   // heap pages; only the index entries are sorted.
   std::vector<uint64_t> locations(records.size());
   for (size_t i = 0; i < records.size(); ++i) {
     RUIDX_ASSIGN_OR_RETURN(locations[i], AppendRecord(records[i], terms[i]));
-    name_postings[i].second = locations[i];
-    path_postings[i].second = locations[i];
   }
   bloom_ = BloomFilter::ForExpectedKeys(records.size() * 2);
   for (auto& [key, position] : entries) {
     position = locations[position];
     bloom_.Add(IdKeyHash(key));
   }
+  for (auto* postings : {&name_postings, &path_postings}) {
+    for (auto& entry : *postings) entry.second = locations[entry.second];
+  }
   RUIDX_RETURN_NOT_OK(index_->BulkLoadSorted(entries));
-  // Posting keys lead with the term hash, so they arrive in hash order —
-  // one sort each buys the B+tree's sequential batch build. Identifiers
-  // are unique, hence the keys are strictly ascending after sorting.
-  auto by_key = [](const std::pair<BPlusTree::Key, uint64_t>& a,
-                   const std::pair<BPlusTree::Key, uint64_t>& b) {
-    return a.first < b.first;
-  };
-  std::sort(name_postings.begin(), name_postings.end(), by_key);
-  std::sort(path_postings.begin(), path_postings.end(), by_key);
   RUIDX_RETURN_NOT_OK(name_index_->BulkLoadSorted(name_postings));
   return path_index_->BulkLoadSorted(path_postings);
 }

@@ -85,8 +85,42 @@ size_t RestartsFor(size_t n) {
   return (n + kRestartInterval - 1) / kRestartInterval;
 }
 
-/// Exact encoded size of entries[i..i+k) as one fresh page (header, prefix,
-/// entry bytes, restart directory).
+/// Bytes the key of `cur` shares with its predecessor `prev` past the page
+/// prefix. Both keys start with the prefix, so this never underflows.
+size_t SharedPastPrefix(const Key& prev, const Key& cur, size_t prefix) {
+  return CommonLen(prev, cur) - prefix;
+}
+
+/// Writes one entry at out[off..) and returns one past its last byte.
+size_t EncodeEntry(uint8_t* out, size_t off, const Key& key, uint64_t value,
+                   size_t shared, size_t prefix) {
+  size_t suffix = kKeySize - prefix - shared;
+  out[off] = static_cast<uint8_t>(shared);
+  out[off + 1] = static_cast<uint8_t>(suffix);
+  std::memcpy(out + off + 2, key.data() + prefix + shared, suffix);
+  std::memcpy(out + off + 2 + suffix, &value, 8);
+  return off + kEntryFixed + suffix;
+}
+
+/// Encodes entries[0..n) at out[off..limit) as one run: the head stores
+/// its whole suffix, every later entry only the bytes past what it shares
+/// with its predecessor. Returns one past the last byte written, or 0 when
+/// the run does not fit before `limit`.
+size_t EncodeRun(uint8_t* out, size_t off, size_t limit, const Entry* entries,
+                 size_t n, size_t prefix) {
+  for (size_t j = 0; j < n; ++j) {
+    size_t shared =
+        j == 0 ? 0 : SharedPastPrefix(entries[j - 1].key, entries[j].key,
+                                      prefix);
+    if (off + kEntryFixed + kKeySize - prefix - shared > limit) return 0;
+    off = EncodeEntry(out, off, entries[j].key, entries[j].value, shared,
+                      prefix);
+  }
+  return off;
+}
+
+}  // namespace
+
 size_t EncodedSize(const Entry* entries, size_t i, size_t k) {
   if (k == 0) return kPrefixOff + 2;
   size_t prefix =
@@ -102,6 +136,8 @@ size_t EncodedSize(const Entry* entries, size_t i, size_t k) {
   }
   return bytes;
 }
+
+namespace {
 
 /// Forward decoder over a compressed page. The key is materialized
 /// incrementally: prefix bytes are loaded once, each entry overwrites only
@@ -163,33 +199,6 @@ struct Cursor {
   }
 };
 
-/// Encodes entries[0..n) into `out` starting at entry offset `base`,
-/// recording restart (offset, index) pairs with indices offset by
-/// `index_base`. Returns one past the last entry byte written.
-size_t EncodeEntries(uint8_t* out, size_t base, const Entry* entries, size_t n,
-                     size_t prefix, size_t index_base,
-                     std::vector<std::pair<uint16_t, uint16_t>>* restarts) {
-  size_t off = base;
-  for (size_t j = 0; j < n; ++j) {
-    size_t shared = 0;
-    if (j % kRestartInterval == 0) {
-      restarts->emplace_back(static_cast<uint16_t>(off),
-                             static_cast<uint16_t>(index_base + j));
-    } else {
-      shared = CommonLen(entries[j - 1].key, entries[j].key);
-      if (shared > prefix) shared -= prefix; else shared = 0;
-    }
-    size_t suffix = kKeySize - prefix - shared;
-    out[off] = static_cast<uint8_t>(shared);
-    out[off + 1] = static_cast<uint8_t>(suffix);
-    std::memcpy(out + off + 2, entries[j].key.data() + prefix + shared,
-                suffix);
-    std::memcpy(out + off + 2 + suffix, &entries[j].value, 8);
-    off += kEntryFixed + suffix;
-  }
-  return off;
-}
-
 }  // namespace
 
 bool IsCompressed(const uint8_t* page) {
@@ -198,12 +207,15 @@ bool IsCompressed(const uint8_t* page) {
 
 bool BuildLeaf(uint8_t* page, const Entry* entries, size_t n, uint32_t next,
                uint32_t prev) {
-  if (EncodedSize(entries, 0, n) > kPageUsableSize) return false;
   uint8_t scratch[kPageUsableSize];
   std::memset(scratch, 0, sizeof(scratch));
   size_t prefix =
       n >= 2 ? CommonLen(entries[0].key, entries[n - 1].key)
              : (n == 1 ? kKeySize : 0);
+  size_t nrestart = RestartsFor(n);
+  if (kPrefixOff + prefix + 4 * nrestart + 2 > kPageUsableSize) return false;
+  // Entry bytes must end at or before the lowest directory pair.
+  size_t data_limit = kPageUsableSize - 2 - 4 * nrestart;
   scratch[0] = 1;  // is_leaf
   scratch[kFormatOff] = kLeafFormatCompressed;
   SetPageCount(scratch, static_cast<uint16_t>(n));
@@ -211,34 +223,50 @@ bool BuildLeaf(uint8_t* page, const Entry* entries, size_t n, uint32_t next,
   std::memcpy(scratch + kPrevOff, &prev, 4);
   StoreU16(scratch + kPrefixLenOff, static_cast<uint16_t>(prefix));
   if (n > 0) std::memcpy(scratch + kPrefixOff, entries[0].key.data(), prefix);
-  std::vector<std::pair<uint16_t, uint16_t>> restarts;
-  size_t end =
-      EncodeEntries(scratch, kPrefixOff + prefix, entries, n, prefix, 0,
-                    &restarts);
-  SetDataEnd(scratch, static_cast<uint16_t>(end));
-  SetRestartCount(scratch, static_cast<uint16_t>(restarts.size()));
-  for (size_t j = 0; j < restarts.size(); ++j) {
-    SetRestart(scratch, j, restarts[j].first, restarts[j].second);
+  size_t off = kPrefixOff + prefix;
+  for (size_t j = 0; j < n; j += kRestartInterval) {
+    SetRestart(scratch, j / kRestartInterval, static_cast<uint16_t>(off),
+               static_cast<uint16_t>(j));
+    off = EncodeRun(scratch, off, data_limit, entries + j,
+                    std::min(kRestartInterval, n - j), prefix);
+    if (off == 0) return false;
   }
+  SetDataEnd(scratch, static_cast<uint16_t>(off));
+  SetRestartCount(scratch, static_cast<uint16_t>(nrestart));
   std::memcpy(page, scratch, kPageUsableSize);
   return true;
 }
 
 size_t MaxLeafTake(const Entry* entries, size_t i, size_t n) {
   RUIDX_DCHECK(i < n, "MaxLeafTake past the end");
-  // Largest k with EncodedSize <= page, by binary search; k = 1 always fits.
-  // EncodedSize is monotone in k and every entry costs at least kEntryFixed
-  // bytes, so no k past one page's worth of entries can fit.
-  size_t lo = 1, hi = std::min(n - i, kPageUsableSize / kEntryFixed);
-  while (lo < hi) {
-    size_t mid = (lo + hi + 1) / 2;
-    if (EncodedSize(entries, i, mid) <= kPageUsableSize) {
-      lo = mid;
-    } else {
-      hi = mid - 1;
-    }
+  // One forward pass. Keys ascend, so the page prefix P of the first k
+  // entries (the common length of the first and the last) is the minimum
+  // of the adjacent common lengths, and never exceeds any of them. A
+  // non-head entry therefore costs kEntryFixed + kKeySize - CommonLen(prev,
+  // cur) bytes whatever P is; only the heads, the prefix and the directory
+  // depend on P. Every entry costs at least kEntryFixed bytes, so the pass
+  // stops within one page's worth of entries; k = 1 always fits.
+  const size_t window = std::min(n - i, kPageUsableSize / kEntryFixed);
+  size_t prefix = kKeySize;  // P of a one-entry page
+  size_t tail_bytes = 0;     // entry bytes of the non-head entries
+  size_t k = 1;
+  for (; k < window; ++k) {
+    size_t common = CommonLen(entries[i + k - 1].key, entries[i + k].key);
+    size_t p = std::min(prefix, common);
+    size_t tail = tail_bytes;
+    if (k % kRestartInterval != 0) tail += kEntryFixed + kKeySize - common;
+    size_t heads = k / kRestartInterval + 1;
+    size_t bytes = kPrefixOff + p + 2 +
+                   heads * (4 + kEntryFixed + kKeySize - p) + tail;
+    if (bytes > kPageUsableSize) break;
+    prefix = p;
+    tail_bytes = tail;
   }
-  return lo;
+  RUIDX_DCHECK(EncodedSize(entries, i, k) <= kPageUsableSize &&
+                   (k == n - i ||
+                    EncodedSize(entries, i, k + 1) > kPageUsableSize),
+               "MaxLeafTake is not the largest fitting count");
+  return k;
 }
 
 void KeyAt(const uint8_t* page, size_t i, Key* out) {
@@ -313,39 +341,33 @@ void DecodeAll(const uint8_t* page, std::vector<Entry>* out) {
 
 namespace {
 
-/// Shared tail of InsertAt/EraseAt: splices the re-encoded run
-/// [run_start_off, old_run_end_off) -> `encoded` back into the page and
-/// patches every later restart's offset (by the byte delta) and index (by
-/// `index_delta`). Run `r` keeps its directory slot unless it emptied.
-void SpliceRun(uint8_t* page, size_t r, size_t run_start_off,
-               size_t old_run_end_off, const uint8_t* encoded,
-               size_t encoded_len, int index_delta) {
+/// Shared tail of InsertAt/EraseAt: replaces the `old_len` entry bytes at
+/// `off` with encoded[0..new_len), shifts the rest of the data region, and
+/// patches the restart pairs from `first_later` on by the byte delta and by
+/// `index_delta` slots.
+void SpliceEntries(uint8_t* page, size_t off, size_t old_len,
+                   const uint8_t* encoded, size_t new_len, size_t first_later,
+                   int index_delta) {
   size_t data_end = DataEnd(page);
   ptrdiff_t delta =
-      static_cast<ptrdiff_t>(encoded_len) -
-      static_cast<ptrdiff_t>(old_run_end_off - run_start_off);
-  std::memmove(page + run_start_off + encoded_len, page + old_run_end_off,
-               data_end - old_run_end_off);
-  std::memcpy(page + run_start_off, encoded, encoded_len);
+      static_cast<ptrdiff_t>(new_len) - static_cast<ptrdiff_t>(old_len);
+  std::memmove(page + off + new_len, page + off + old_len,
+               data_end - off - old_len);
+  std::memcpy(page + off, encoded, new_len);
   SetDataEnd(page, static_cast<uint16_t>(data_end + delta));
   size_t nrestart = RestartCount(page);
-  if (encoded_len == 0) {
-    // The run emptied: drop its directory slot (later pairs shift up one).
-    for (size_t j = r; j + 1 < nrestart; ++j) {
-      SetRestart(page, j, RestartOffset(page, j + 1),
-                 RestartIndex(page, j + 1));
-    }
-    SetRestartCount(page, static_cast<uint16_t>(--nrestart));
-    // Fall through: the shifted pairs still need the offset/index patch,
-    // starting from the slot that now holds the first later run.
-  } else {
-    ++r;
-  }
-  for (size_t j = r; j < nrestart; ++j) {
+  for (size_t j = first_later; j < nrestart; ++j) {
     SetRestart(page, j,
                static_cast<uint16_t>(RestartOffset(page, j) + delta),
                static_cast<uint16_t>(RestartIndex(page, j) + index_delta));
   }
+}
+
+/// Slot range [start, end) of run r.
+std::pair<size_t, size_t> RunRange(const uint8_t* page, size_t r) {
+  size_t end = r + 1 < RestartCount(page) ? RestartIndex(page, r + 1)
+                                          : PageCount(page);
+  return {RestartIndex(page, r), end};
 }
 
 }  // namespace
@@ -360,32 +382,34 @@ InsertOutcome InsertAt(uint8_t* page, size_t idx, const Key& key,
   }
   Cursor c(page);
   size_t r = c.RunOf(idx == count ? count - 1 : idx);
-  size_t run_start = RestartIndex(page, r);
-  size_t run_end = r + 1 < RestartCount(page) ? RestartIndex(page, r + 1)
-                                              : count;
+  auto [run_start, run_end] = RunRange(page, r);
   if (run_end - run_start + 1 > kMaxRunLength) return InsertOutcome::kRebuild;
-  // Decode the run, splice the new entry in, re-encode.
-  std::vector<Entry> run;
-  run.reserve(run_end - run_start + 1);
+  // The new entry takes slot idx of run r (its head when idx == run_start).
+  // Only it and its successor in the run are written: the successor's
+  // shared count now refers to the new key.
   c.SeekRun(r);
-  size_t run_start_off = c.off;
-  for (size_t i = run_start; i < run_end; ++i) {
-    run.push_back(Entry{c.key, c.value});
-    c.Next();  // advances c.off past the entry even at the page end
+  size_t shared = 0;
+  size_t off = c.off;
+  if (idx > run_start) {
+    while (c.idx + 1 < idx) c.Next();
+    shared = SharedPastPrefix(c.key, key, prefix);
+    off = c.off + c.entry_size;
+    if (idx < run_end) c.Next();
   }
-  size_t old_run_end_off = c.off;
-  run.insert(run.begin() + (idx - run_start), Entry{key, value});
-  uint8_t encoded[kMaxRunLength * (kEntryFixed + kKeySize)];
-  std::vector<std::pair<uint16_t, uint16_t>> head;
-  size_t encoded_len =
-      EncodeEntries(encoded, 0, run.data(), run.size(), prefix, 0, &head);
-  size_t data_end = DataEnd(page);
+  uint8_t encoded[2 * (kEntryFixed + kKeySize)];
+  size_t new_len = EncodeEntry(encoded, 0, key, value, shared, prefix);
+  size_t old_len = 0;
+  if (idx < run_end) {  // c sits on the successor
+    old_len = c.entry_size;
+    new_len = EncodeEntry(encoded, new_len, c.key, c.value,
+                          SharedPastPrefix(key, c.key, prefix), prefix);
+  }
   size_t dir_floor = RestartPos(RestartCount(page) - 1);
-  if (data_end - (old_run_end_off - run_start_off) + encoded_len > dir_floor) {
+  if (DataEnd(page) + new_len - old_len > dir_floor) {
     return InsertOutcome::kNoRoom;
   }
-  SpliceRun(page, r, run_start_off, old_run_end_off, encoded, encoded_len,
-            /*index_delta=*/1);
+  SpliceEntries(page, off, old_len, encoded, new_len, r + 1,
+                /*index_delta=*/1);
   SetPageCount(page, static_cast<uint16_t>(count + 1));
   return InsertOutcome::kDone;
 }
@@ -393,49 +417,44 @@ InsertOutcome InsertAt(uint8_t* page, size_t idx, const Key& key,
 void EraseAt(uint8_t* page, size_t idx) {
   size_t count = PageCount(page);
   RUIDX_DCHECK(idx < count, "EraseAt past the end");
+  size_t prefix = PrefixLen(page);
   Cursor c(page);
   size_t r = c.RunOf(idx);
-  size_t run_start = RestartIndex(page, r);
-  size_t run_end = r + 1 < RestartCount(page) ? RestartIndex(page, r + 1)
-                                              : count;
-  // A run that InsertAt stretched past kRestartInterval encodes its entry
-  // at kRestartInterval as a second head (shared == 0) with no directory
-  // pair. Erasing ahead of that head would move the head onto the next
-  // entry, which can make the run longer than before — past the directory
-  // on a full page. Instead the head gets its own directory pair and only
-  // the part before it is re-encoded: that part shrinks by more than the
-  // 4 bytes the pair takes, and the bytes after it stay as they are.
-  const bool split_run = run_end - run_start > kRestartInterval &&
-                         idx < run_start + kRestartInterval;
-  if (split_run) run_end = run_start + kRestartInterval;
-  std::vector<Entry> run;
-  run.reserve(run_end - run_start);
+  auto [run_start, run_end] = RunRange(page, r);
+  // Only the successor in the run is rewritten: it now shares bytes with
+  // the erased entry's predecessor, or becomes the run head. Either way it
+  // grows by less than the erased entry's size, so the page shrinks.
   c.SeekRun(r);
-  size_t run_start_off = c.off;
-  for (size_t i = run_start; i < run_end; ++i) {
-    if (i != idx) run.push_back(Entry{c.key, c.value});
-    c.Next();  // advances c.off past the entry even at the page end
+  Key pred{};
+  while (c.idx < idx) {
+    pred = c.key;
+    c.Next();
   }
-  size_t old_run_end_off = c.off;
-  uint8_t encoded[kMaxRunLength * (kEntryFixed + kKeySize)];
-  std::vector<std::pair<uint16_t, uint16_t>> head;
-  size_t encoded_len =
-      EncodeEntries(encoded, 0, run.data(), run.size(), PrefixLen(page), 0,
-                    &head);
-  SpliceRun(page, r, run_start_off, old_run_end_off, encoded, encoded_len,
-            /*index_delta=*/-1);
-  SetPageCount(page, static_cast<uint16_t>(count - 1));
-  if (split_run) {
+  size_t off = c.off;
+  size_t old_len = c.entry_size;
+  uint8_t encoded[kEntryFixed + kKeySize];
+  size_t new_len = 0;
+  if (idx + 1 < run_end) {
+    c.Next();
+    old_len += c.entry_size;
+    size_t shared =
+        idx > run_start ? SharedPastPrefix(pred, c.key, prefix) : 0;
+    new_len = EncodeEntry(encoded, 0, c.key, c.value, shared, prefix);
+  }
+  size_t first_later = r + 1;
+  if (run_end - run_start == 1) {
+    // The run empties: drop its directory pair (later pairs shift up one).
     size_t nrestart = RestartCount(page);
-    for (size_t j = nrestart; j > r + 1; --j) {
-      SetRestart(page, j, RestartOffset(page, j - 1),
-                 RestartIndex(page, j - 1));
+    for (size_t j = r; j + 1 < nrestart; ++j) {
+      SetRestart(page, j, RestartOffset(page, j + 1),
+                 RestartIndex(page, j + 1));
     }
-    SetRestart(page, r + 1,
-               static_cast<uint16_t>(run_start_off + encoded_len),
-               static_cast<uint16_t>(run_end - 1));
-    SetRestartCount(page, static_cast<uint16_t>(nrestart + 1));
+    SetRestartCount(page, static_cast<uint16_t>(nrestart - 1));
+    first_later = r;
   }
+  SpliceEntries(page, off, old_len, encoded, new_len, first_later,
+                /*index_delta=*/-1);
+  SetPageCount(page, static_cast<uint16_t>(count - 1));
 }
 
 Status ValidateLeaf(const uint8_t* page) {
@@ -518,10 +537,10 @@ Status ValidateLeaf(const uint8_t* page) {
     return Status::Corruption(
         "[compressed-page-reconstruction] entries do not end at data end");
   }
-  // Round-trip, run by run: re-encoding each run's decoded entries must
-  // reproduce the run's bytes exactly (the page is a fixed point of its own
-  // codec under its current run chunking — a stale suffix, wrong shared
-  // count, or phantom byte cannot survive this).
+  // Round-trip, run by run: re-encoding each run's decoded entries as one
+  // run (a single head) must reproduce the run's bytes exactly (the page is
+  // a fixed point of its own codec under its current run chunking — a stale
+  // suffix, wrong shared count, or phantom byte cannot survive this).
   for (size_t j = 0; j < nrestart; ++j) {
     size_t run_start = RestartIndex(page, j);
     size_t run_end = j + 1 < nrestart ? RestartIndex(page, j + 1) : count;
@@ -535,9 +554,8 @@ Status ValidateLeaf(const uint8_t* page) {
     }
     size_t run_off = RestartOffset(page, j);
     uint8_t encoded[kMaxRunLength * (kEntryFixed + kKeySize)];
-    std::vector<std::pair<uint16_t, uint16_t>> heads;
-    size_t encoded_len =
-        EncodeEntries(encoded, 0, run.data(), run.size(), prefix, 0, &heads);
+    size_t encoded_len = EncodeRun(encoded, 0, sizeof(encoded), run.data(),
+                                   run.size(), prefix);
     if (encoded_len != rc.off - run_off ||
         std::memcmp(encoded, page + run_off, encoded_len) != 0) {
       return Status::Corruption(

@@ -8,7 +8,12 @@
 // common to every key once, and per slot only the bytes that differ from
 // the previous key — the classic slotted-page front compression, with
 // restart points every kRestartInterval slots so point lookups stay
-// O(log runs + run length) and a slot edit stays local to its run.
+// O(log runs + run length). Each run has exactly one head (its first
+// entry, shared == 0, the one the directory points at); every other entry
+// is encoded against its predecessor. An in-place insert or erase
+// therefore rewrites at most two entries — the new entry and its
+// successor, or the erased entry's successor — shifts the bytes behind
+// them, and patches the later directory pairs.
 //
 // Compressed leaf layout (header bytes [0..12) keep the legacy meaning so
 // chain walks and leaf detection never branch on format):
@@ -23,7 +28,7 @@
 //   [16..16+P) the page prefix
 //   [16+P..data_end) entries, back to back:
 //       u8 shared     bytes shared with the previous key, counted after
-//                     the page prefix (0 for the first entry of a run)
+//                     the page prefix (0 for the head of a run)
 //       u8 suffix_len remaining key bytes (shared + suffix_len = 33 - P)
 //       suffix_len bytes of key suffix
 //       u64 value (little-endian, unaligned)
@@ -32,8 +37,8 @@
 //   restart j (j in [0,R)) at kPageUsableSize - 2 - 4*(j+1):
 //       u16 entry byte offset (from page start), u16 entry index
 // The directory stores explicit entry indices rather than assuming a fixed
-// stride, so an insert or erase re-encodes only the touched run and patches
-// the later directory entries — never the other runs' bytes.
+// stride, so in-place edits can lengthen or shorten a run without
+// re-encoding it: a run stays one head plus delta-encoded entries.
 #ifndef RUIDX_STORAGE_LEAF_CODEC_H_
 #define RUIDX_STORAGE_LEAF_CODEC_H_
 
@@ -56,7 +61,8 @@ constexpr uint8_t kLeafFormatLegacy = 0;
 constexpr uint8_t kLeafFormatCompressed = 2;
 
 /// Fresh runs start every kRestartInterval entries; in-place inserts may
-/// stretch a run to twice that before the page is re-encoded.
+/// stretch a run (still one head) to twice that before the page is
+/// re-encoded.
 constexpr size_t kRestartInterval = 16;
 constexpr size_t kMaxRunLength = 2 * kRestartInterval;
 
@@ -74,16 +80,21 @@ struct Entry {
 bool IsCompressed(const uint8_t* page);
 
 /// Encodes `entries` (strictly ascending) into `page` as one compressed
-/// leaf, preserving the header's count/next/prev fields for the caller to
-/// set. Returns false (page unspecified) when the encoding does not fit.
-/// next/prev links are written from the arguments.
+/// leaf with a run every kRestartInterval entries; next/prev links are
+/// written from the arguments. Returns false (page untouched) when the
+/// encoding does not fit.
 bool BuildLeaf(uint8_t* page, const Entry* entries, size_t n, uint32_t next,
                uint32_t prev);
 
+/// Exact byte size BuildLeaf needs for `entries[i..i+k)` (header, prefix,
+/// entries, restart directory). Recomputes every entry: the reference that
+/// MaxLeafTake's incremental count is checked against.
+size_t EncodedSize(const Entry* entries, size_t i, size_t k);
+
 /// Number of entries of `entries[i..n)` that fit in one compressed page
-/// (at least 1 for i < n; a single entry always fits). The search window is
-/// capped at one page's worth of entries, so a call costs O(page), not
-/// O(n - i).
+/// (at least 1 for i < n; a single entry always fits): one forward pass
+/// with one key comparison per entry, stopping at the first entry that
+/// does not fit, so a call costs O(page), not O(n - i).
 size_t MaxLeafTake(const Entry* entries, size_t i, size_t n);
 
 /// The key of slot `i` (restart-directory seek + run decode).
@@ -107,25 +118,27 @@ void DecodeAll(const uint8_t* page, std::vector<Entry>* out);
 
 /// Outcome of an in-place slot insert.
 enum class InsertOutcome {
-  kDone,     ///< inserted; only the touched run and the directory moved
+  kDone,     ///< inserted; at most two entries rewritten, directory patched
   kRebuild,  ///< needs a whole-page re-encode (prefix mismatch or long run)
   kNoRoom,   ///< re-encode will not help; the caller must split
 };
 
-/// Inserts (key, value) at slot `idx`, re-encoding only the run containing
-/// the slot. kRebuild when the key does not share the page prefix or the
-/// run would exceed kMaxRunLength; kNoRoom when the page lacks the bytes.
+/// Inserts (key, value) at slot `idx` of the run containing the slot,
+/// writing only the new entry and its successor in the run. kRebuild when
+/// the key does not share the page prefix or the run would exceed
+/// kMaxRunLength; kNoRoom when the page lacks the bytes.
 InsertOutcome InsertAt(uint8_t* page, size_t idx, const Key& key,
                        uint64_t value);
 
-/// Removes slot `idx`, re-encoding only its run and patching the restart
-/// directory — deletions never rewrite bytes outside the touched run.
+/// Removes slot `idx`, rewriting only its successor in the run (which
+/// becomes the run head when `idx` was one) and patching the restart
+/// directory. The page never grows.
 void EraseAt(uint8_t* page, size_t idx);
 
 /// Structural check of one compressed page: restart-directory order
-/// ([restart-point-order]) and full decode/re-encode reconstruction
-/// ([compressed-page-reconstruction]). Returns Corruption with the
-/// bracketed invariant name on the first violation.
+/// ([restart-point-order]) and full decode/re-encode reconstruction of
+/// every run with one head ([compressed-page-reconstruction]). Returns
+/// Corruption with the bracketed invariant name on the first violation.
 Status ValidateLeaf(const uint8_t* page);
 
 /// Per-page accounting for the compression observability surfaces

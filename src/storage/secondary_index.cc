@@ -39,15 +39,32 @@ uint64_t ExtendPathTerm(uint64_t parent_term, std::string_view child_name) {
   return MixPath(parent_term ^ HashNameTerm(child_name));
 }
 
+namespace {
+
+/// Writes `v` big-endian into out[0..12); false when it needs more than 96
+/// bits. Byte-for-byte what ToBytesBE(out, 12) writes, in two byte swaps.
+bool StoreU96BE(const BigUint& v, uint8_t* out) {
+  if (!v.FitsUint128()) return false;
+  uint128_t x = v.ToUint128();
+  if ((x >> 96) != 0) return false;
+  uint32_t hi_be = __builtin_bswap32(static_cast<uint32_t>(x >> 64));
+  uint64_t lo_be = __builtin_bswap64(static_cast<uint64_t>(x));
+  std::memcpy(out, &hi_be, 4);
+  std::memcpy(out + 4, &lo_be, 8);
+  return true;
+}
+
+}  // namespace
+
 Result<BPlusTree::Key> EncodePostingKey(uint64_t term,
                                         const core::Ruid2Id& id) {
   BPlusTree::Key key{};
   uint64_t be = __builtin_bswap64(term);
   std::memcpy(key.data(), &be, 8);
-  if (!id.global.ToBytesBE(key.data() + 8, 12)) {
+  if (!StoreU96BE(id.global, key.data() + 8)) {
     return Status::CapacityExceeded("global index exceeds 96 bits");
   }
-  if (!id.local.ToBytesBE(key.data() + 20, 12)) {
+  if (!StoreU96BE(id.local, key.data() + 20)) {
     return Status::CapacityExceeded("local index exceeds 96 bits");
   }
   key[32] = id.is_area_root ? 1 : 0;

@@ -64,14 +64,18 @@ class EmittingHandler : public xml::SaxHandlerBase {
       if (!value.empty()) value += " ";
       value += attr.first + "=" + attr.second;
     }
-    return Emit(name, value);
+    return Emit(xml::NodeType::kElement, name, value);
   }
 
-  Status Text(std::string_view data) override { return Emit("", data); }
-  Status Comment(std::string_view data) override { return Emit("", data); }
+  Status Text(std::string_view data) override {
+    return Emit(xml::NodeType::kText, "", data);
+  }
+  Status Comment(std::string_view data) override {
+    return Emit(xml::NodeType::kComment, "", data);
+  }
   Status ProcessingInstruction(std::string_view target,
                                std::string_view data) override {
-    return Emit(target, data);
+    return Emit(xml::NodeType::kProcessingInstruction, target, data);
   }
 
   Status Finish() const {
@@ -84,7 +88,8 @@ class EmittingHandler : public xml::SaxHandlerBase {
   }
 
  private:
-  Status Emit(std::string_view name, std::string_view value) {
+  Status Emit(xml::NodeType type, std::string_view name,
+              std::string_view value) {
     if (cursor_ >= preorder_.size()) {
       return Status::Internal("stream produced more nodes than the shape");
     }
@@ -95,7 +100,7 @@ class EmittingHandler : public xml::SaxHandlerBase {
                         shape->parent()->is_document())
                            ? record.id
                            : scheme_->label(shape->parent());
-    record.node_type = static_cast<uint8_t>(xml::NodeType::kElement);
+    record.node_type = static_cast<uint8_t>(type);
     record.name = std::string(name);
     record.value = std::string(value);
     return (*sink_)(record);

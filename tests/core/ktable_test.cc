@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <random>
+#include <vector>
+
 namespace ruidx {
 namespace core {
 namespace {
@@ -97,6 +101,40 @@ TEST(KTableTest, PackedMirrorTracksRows) {
   EXPECT_EQ(k.packed_size(), 0u);
 }
 
+TEST(KTableTest, AssignEqualsAnUpsertLoop) {
+  // Shuffled rows, some outside the packed range: a global past 128 bits
+  // and a root_local past 63 bits. Assign must leave the same rows and the
+  // same packed mirror as one Upsert per row.
+  std::mt19937_64 rng(1402);
+  std::vector<KRow> rows;
+  for (uint64_t g = 1; g <= 300; ++g) {
+    rows.push_back({BigUint(g * 7), BigUint(rng() % 1000), 1 + rng() % 9});
+  }
+  rows.push_back({BigUint::Pow(BigUint(2), 130), BigUint(3), 4});
+  rows.push_back({BigUint(5), BigUint::Pow(BigUint(2), 63), 2});
+  rows.push_back({BigUint::Pow(BigUint(2), 127), BigUint(9), 6});
+  std::shuffle(rows.begin(), rows.end(), rng);
+
+  KTable upserted;
+  for (const KRow& row : rows) upserted.Upsert(row);
+  KTable assigned;
+  assigned.Upsert({BigUint(4), BigUint(1), 1});  // replaced by Assign
+  assigned.Assign(rows);
+
+  EXPECT_EQ(assigned.rows(), upserted.rows());
+  EXPECT_EQ(assigned.packed_size(), upserted.packed_size());
+  EXPECT_EQ(assigned.packed_size(), rows.size() - 2);
+  EXPECT_EQ(assigned.Find(BigUint(4)), nullptr);
+  for (const KRow& row : assigned.rows()) {
+    EXPECT_TRUE(assigned.PackedMirrorAgrees(row)) << row.global.ToDecimalString();
+  }
+  EXPECT_EQ(assigned.FindPacked(5), nullptr);
+  const PackedKRow* top =
+      assigned.FindPacked(BigUint::Pow(BigUint(2), 127).ToUint128());
+  ASSERT_NE(top, nullptr);
+  EXPECT_EQ(top->fanout, 6u);
+}
+
 TEST(KTableTest, IsAreaRootSlot) {
   KTable k;
   k.Upsert({BigUint(7), BigUint(5), 2});
@@ -113,11 +151,12 @@ TEST(KTableTest, BigGlobalsSupported) {
   EXPECT_GT(k.SizeInBytes(), 0u);
 }
 
-TEST(KTableTest, ClearEmpties) {
+TEST(KTableTest, AssignEmptyEmpties) {
   KTable k;
   k.Upsert({BigUint(1), BigUint(1), 1});
-  k.Clear();
+  k.Assign({});
   EXPECT_EQ(k.size(), 0u);
+  EXPECT_EQ(k.packed_size(), 0u);
 }
 
 }  // namespace

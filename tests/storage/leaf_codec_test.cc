@@ -204,6 +204,122 @@ TEST(LeafCodecTest, MaxLeafTakeLooksOnlyOnePageAhead) {
   }
 }
 
+// Ascending keys whose adjacent common length is drawn per key: mostly
+// long (dense locals), sometimes short, now and then a few bytes — so the
+// common prefix of a window shrinks in steps as it grows.
+std::vector<Entry> ShrinkingPrefixCorpus(std::mt19937_64* rng, size_t n) {
+  std::vector<Entry> entries;
+  Key key{};
+  for (size_t i = 0; i < n; ++i) {
+    uint64_t roll = (*rng)() % 100;
+    size_t d = roll < 70   ? 28 + (*rng)() % 5
+               : roll < 90 ? 16 + (*rng)() % 12
+                           : (*rng)() % 16;
+    while (key[d] > 0xfc) {  // no room to step this byte: step an earlier one
+      if (d == 0) return entries;
+      --d;
+    }
+    key[d] = static_cast<uint8_t>(key[d] + 1 + (*rng)() % 3);
+    for (size_t b = d + 1; b < leaf::kKeySize; ++b) {
+      key[b] = static_cast<uint8_t>((*rng)());
+    }
+    entries.push_back({key, (*rng)()});
+  }
+  return entries;
+}
+
+TEST(LeafCodecTest, OnePassMaxLeafTakeEqualsSearchOverEncodedSize) {
+  std::mt19937_64 rng(1403);
+  for (int round = 0; round < 40; ++round) {
+    std::vector<Entry> entries =
+        round % 2 == 0 ? ShrinkingPrefixCorpus(&rng, 3000)
+                       : RandomCorpus(&rng, 3000);
+    ASSERT_GT(entries.size(), 1000u);
+    for (int probe = 0; probe < 25; ++probe) {
+      size_t i = rng() % entries.size();
+      size_t n = std::min(entries.size(), i + 1 + rng() % 600);
+      // Reference: the largest k with EncodedSize <= page, by binary search.
+      size_t lo = 1, hi = n - i;
+      while (lo < hi) {
+        size_t mid = (lo + hi + 1) / 2;
+        if (leaf::EncodedSize(entries.data(), i, mid) <= kPageUsableSize) {
+          lo = mid;
+        } else {
+          hi = mid - 1;
+        }
+      }
+      ASSERT_EQ(leaf::MaxLeafTake(entries.data(), i, n), lo)
+          << "round " << round << " i=" << i << " n=" << n;
+    }
+  }
+}
+
+TEST(LeafCodecTest, EntryLocalEditsMatchAModelOnFullPages) {
+  // Pages filled to the byte by MaxLeafTake + BuildLeaf, then a random
+  // InsertAt/EraseAt storm against a std::vector model. An insert the page
+  // refuses must leave it untouched; the tree's fallback (re-encode the
+  // whole page if that fits) keeps it full. Every page is validated, and
+  // no erase may grow the stored key bytes.
+  std::mt19937_64 rng(1404);
+  for (int round = 0; round < 12; ++round) {
+    std::vector<Entry> corpus = round % 2 == 0
+                                    ? ShrinkingPrefixCorpus(&rng, 2000)
+                                    : RandomCorpus(&rng, 2000);
+    size_t start = rng() % (corpus.size() / 2);
+    size_t take = leaf::MaxLeafTake(corpus.data(), start, corpus.size());
+    std::vector<Entry> model(corpus.begin() + start,
+                             corpus.begin() + start + take);
+    std::vector<uint8_t> page(kPageUsableSize, 0);
+    ASSERT_TRUE(leaf::BuildLeaf(page.data(), model.data(), model.size(), 0, 0));
+    ASSERT_GT(leaf::EncodedSize(corpus.data(), start, take + 1),
+              kPageUsableSize);
+    for (int op = 0; op < 600; ++op) {
+      if (model.empty() || rng() % 2 == 0) {
+        // A key near an existing one: same leading bytes, new tail.
+        Key key = model.empty() ? corpus[start].key
+                                : model[rng() % model.size()].key;
+        size_t from = 20 + rng() % 13;
+        for (size_t b = from; b < leaf::kKeySize; ++b) {
+          key[b] = static_cast<uint8_t>(rng());
+        }
+        auto it = std::lower_bound(
+            model.begin(), model.end(), key,
+            [](const Entry& e, const Key& k) { return e.key < k; });
+        if (it != model.end() && it->key == key) continue;
+        size_t idx = static_cast<size_t>(it - model.begin());
+        bool exact = true;
+        ASSERT_EQ(leaf::LowerBound(page.data(), key, &exact), idx);
+        ASSERT_FALSE(exact);
+        Entry e{key, rng()};
+        std::vector<uint8_t> before = page;
+        leaf::InsertOutcome out = leaf::InsertAt(page.data(), idx, key, e.value);
+        if (out == leaf::InsertOutcome::kDone) {
+          model.insert(it, e);
+        } else {
+          ASSERT_EQ(page, before) << "refused insert changed the page";
+          std::vector<Entry> all = model;
+          all.insert(all.begin() + idx, e);
+          if (leaf::BuildLeaf(page.data(), all.data(), all.size(), 0, 0)) {
+            model = std::move(all);
+          }
+        }
+      } else {
+        size_t idx = rng() % model.size();
+        leaf::PageStats before;
+        leaf::AccumulateStats(page.data(), &before);
+        leaf::EraseAt(page.data(), idx);
+        model.erase(model.begin() + idx);
+        leaf::PageStats after;
+        leaf::AccumulateStats(page.data(), &after);
+        ASSERT_LT(after.key_bytes_stored, before.key_bytes_stored)
+            << "round " << round << " op " << op;
+      }
+      ExpectPageMatches(page.data(), model);
+      if (::testing::Test::HasFatalFailure()) return;
+    }
+  }
+}
+
 TEST(LeafCodecTest, InsertEraseAtRestartEdges) {
   // Build a page whose slots land exactly on restart boundaries, then
   // exercise the run-local edit paths at every edge: slot 0, run heads,
@@ -249,10 +365,11 @@ TEST(LeafCodecTest, InsertEraseAtRestartEdges) {
 }
 
 TEST(LeafCodecTest, EraseAheadOfStretchedRunHeadShrinksThePage) {
-  // InsertAt stretches run 0 to 18 slots; its slot 16, (6, 1), is then
-  // encoded as a second head with the full 18-byte suffix. Erasing slot 0
-  // must not shift that head onto (6, 2): the run would grow by 5 bytes,
-  // and on a full page run into the restart directory.
+  // InsertAt stretches run 0 to 18 slots, still with one head; its slot
+  // 16, (6, 1), is encoded against (5, 14) before it. Erasing
+  // slot 0 rewrites only the new head (5, 1, 1) and must shrink the page
+  // every time: on a full page, growth would run into the restart
+  // directory.
   std::vector<Entry> entries;
   for (uint64_t lo = 1; lo <= 14; ++lo) entries.push_back({MakeKey(5, lo), lo});
   for (uint64_t lo = 1; lo <= 12; ++lo) {

@@ -6,7 +6,9 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <cstring>
 #include <filesystem>
+#include <random>
 #include <set>
 #include <string>
 #include <vector>
@@ -124,6 +126,33 @@ TEST(PostingKeyTest, RejectsOversizedComponents) {
   for (int i = 0; i < 13; ++i) id.global = id.global * BigUint(256);
   id.local = BigUint(1);
   EXPECT_FALSE(EncodePostingKey(1, id).ok());
+}
+
+TEST(PostingKeyTest, IdBytesMatchBigEndianReference) {
+  // The id half of a posting key is ToBytesBE(12) of global and local; the
+  // 96-bit limit holds exactly (2^96 - 1 encodes, 2^96 does not).
+  std::mt19937_64 rng(1406);
+  BigUint limit = BigUint::Pow(BigUint(2), 96);
+  std::vector<BigUint> values = {BigUint(0), BigUint(1), limit - BigUint(1),
+                                 BigUint::Pow(BigUint(2), 64)};
+  for (int i = 0; i < 200; ++i) {
+    uint64_t hi = rng() >> (32 + rng() % 32);  // 1 to 32 bits
+    uint64_t lo = rng() >> (rng() % 64);
+    values.push_back(BigUint(hi) * BigUint::Pow(BigUint(2), 64) + lo);
+  }
+  for (size_t i = 0; i < values.size(); ++i) {
+    core::Ruid2Id id{values[i], values[values.size() - 1 - i], i % 2 == 0};
+    auto key = EncodePostingKey(7, id);
+    ASSERT_TRUE(key.ok()) << id.ToString();
+    uint8_t want[12];
+    ASSERT_TRUE(id.global.ToBytesBE(want, 12));
+    EXPECT_EQ(std::memcmp(key->data() + 8, want, 12), 0) << id.ToString();
+    ASSERT_TRUE(id.local.ToBytesBE(want, 12));
+    EXPECT_EQ(std::memcmp(key->data() + 20, want, 12), 0) << id.ToString();
+    EXPECT_EQ(DecodePostingId(*key), id);
+  }
+  EXPECT_FALSE(EncodePostingKey(7, core::Ruid2Id{limit, BigUint(1), false}).ok());
+  EXPECT_FALSE(EncodePostingKey(7, core::Ruid2Id{BigUint(1), limit, false}).ok());
 }
 
 TEST(PathTermTest, OrderSensitiveAndSeedDistinct) {

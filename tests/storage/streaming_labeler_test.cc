@@ -5,7 +5,9 @@
 
 #include <gtest/gtest.h>
 
+#include <map>
 #include <set>
+#include <tuple>
 
 #include "core/global_state.h"
 #include "testutil.h"
@@ -97,6 +99,54 @@ TEST(StreamingLabelerTest, IdsMatchDomBuildExactly) {
     if (nodes[i]->is_element()) {
       EXPECT_EQ(records[i].name, nodes[i]->name()) << i;
     }
+  }
+}
+
+TEST(StreamingLabelerTest, StreamedStoreMatchesDomBulkLoad) {
+  // The two ingest paths of one text must store the same records: the
+  // streamed one carries each node's real type (text, comment and PI
+  // nodes included), not just its identifier.
+  xml::RandomTreeConfig config;
+  config.node_budget = 400;
+  config.text_probability = 0.3;
+  config.seed = 1405;
+  auto random = xml::GenerateRandomTree(config);
+  for (const std::string& text :
+       {std::string("<a x=\"1\">hi<?pi data?><b>t<!--c--><c/></b>"
+                    "<!--tail--><d><?q?>u</d></a>"),
+        xml::Serialize(random->document_node())}) {
+    auto streamed = ElementStore::Create("", 32);
+    ASSERT_TRUE(streamed.ok());
+    auto stats = StreamLabelToStore(text, SmallAreas(), streamed->get());
+    ASSERT_TRUE(stats.ok()) << stats.status().ToString();
+
+    auto doc = ruidx::testing::MustParse(text);
+    core::Ruid2Scheme scheme(SmallAreas());
+    scheme.Build(doc->root());
+    auto loaded = ElementStore::Create("", 32);
+    ASSERT_TRUE(loaded.ok());
+    ASSERT_TRUE((*loaded)->BulkLoad(scheme, doc->root()).ok());
+
+    using Row = std::tuple<core::Ruid2Id, uint8_t, std::string>;
+    auto rows = [](ElementStore* store) {
+      std::map<std::string, Row> out;
+      EXPECT_TRUE(store
+                      ->ScanAll([&](const BPlusTree::Key&,
+                                    const ElementRecord& r) {
+                        out.emplace(r.id.ToString(),
+                                    Row{r.parent_id, r.node_type, r.name});
+                        return true;
+                      })
+                      .ok());
+      return out;
+    };
+    std::map<std::string, Row> want = rows(loaded->get());
+    std::map<std::string, Row> got = rows(streamed->get());
+    EXPECT_EQ(got.size(), ruidx::testing::AllNodes(doc->root()).size());
+    EXPECT_EQ(got, want);
+    std::set<uint8_t> types;
+    for (const auto& [id, row] : got) types.insert(std::get<1>(row));
+    EXPECT_TRUE(types.contains(static_cast<uint8_t>(xml::NodeType::kText)));
   }
 }
 
