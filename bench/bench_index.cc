@@ -3,14 +3,18 @@
 // descendant (`//`) steps with the name and path indexes switched on and
 // off, and times point gets against one store per topology, so
 // BENCH_index.json records how much of the query cost the indexes and the
-// store's Bloom filter remove. CI floors: indexed descendant steps must
-// beat the full enumeration >= 5x on the uniform topology, the uniform
-// store must load, and its Bloom filter must answer >= 90% of point-get
-// misses with zero page accesses.
+// store's Bloom filter remove. On the xmark topology it also times a
+// descendant step over a whole context set (`//open_auction//bidder`),
+// which the name index answers as one document-order merge. CI floors:
+// indexed descendant steps must beat the full enumeration >= 5x on the
+// uniform topology, the merge must beat navigation >= 5x on xmark, the
+// uniform store must load, and its Bloom filter must answer >= 90% of
+// point-get misses with zero page accesses.
 #include <algorithm>
 #include <chrono>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "bench_common.h"
@@ -45,14 +49,16 @@ struct TopologyCase {
   const char* name;
   const char* name_step;   // absolute child-axis chain (path-index shape)
   const char* descendant;  // `//name` step (name-index shape)
+  const char* merge;       // `//a//b`: a step over a context set, or null
 };
 
-// One name-step and one descendant-step query per topology, chosen so both
-// evaluators produce non-empty results.
+// One name-step and one descendant-step query per topology (plus the merge
+// query on xmark), chosen so both evaluators produce non-empty results.
 constexpr TopologyCase kCases[] = {
-    {"uniform", "/root/t0/t1/t2", "//t3"},
-    {"deep", "/section/para", "//para"},
-    {"xmark", "/site/people/person/name", "//increase"},
+    {"uniform", "/root/t0/t1/t2", "//t3", nullptr},
+    {"deep", "/section/para", "//para", nullptr},
+    {"xmark", "/site/people/person/name", "//increase",
+     "//open_auction//bidder"},
 };
 
 struct Fixture {
@@ -172,9 +178,14 @@ void IndexTables() {
     json.Metric("store_records" + suffix,
                 static_cast<double>(fixture.store->record_count()));
 
-    // Name-step and descendant-step queries: same evaluator class, with
-    // and without the indexes; results must agree exactly.
-    for (const char* query : {tc.name_step, tc.descendant}) {
+    // Name-step, descendant-step and merge queries: same evaluator class,
+    // with and without the indexes; results must agree exactly.
+    std::vector<std::pair<std::string, const char*>> queries = {
+        {"name_step", tc.name_step}, {"descendant", tc.descendant}};
+    if (tc.merge != nullptr) queries.emplace_back("merge", tc.merge);
+    for (const auto& entry : queries) {
+      const std::string& kind = entry.first;
+      const char* query = entry.second;
       auto via_index = fixture.indexed->Evaluate(query);
       auto via_scan = fixture.plain->Evaluate(query);
       bool agree = via_index.ok() && via_scan.ok() &&
@@ -186,9 +197,7 @@ void IndexTables() {
       // A disagreement zeroes the reported speedup so the CI floor fails
       // loudly instead of shipping a fast wrong answer.
       double speedup = agree && ms_on > 0 ? ms_off / ms_on : 0.0;
-      bool is_descendant = query == tc.descendant;
-      std::string metric =
-          std::string(is_descendant ? "descendant" : "name_step") + suffix;
+      std::string metric = kind + suffix;
       json.Metric(metric + "_ms_indexed", ms_on, "ms");
       json.Metric(metric + "_ms_scan", ms_off, "ms");
       json.Metric(metric + "_speedup", speedup, "x");

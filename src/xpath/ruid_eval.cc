@@ -1,9 +1,11 @@
 #include "xpath/ruid_eval.h"
 
 #include <algorithm>
+#include <utility>
 
 #include "xpath/eval_common.h"
 #include "xpath/parser.h"
+#include "xpath/structural_join.h"
 
 namespace ruidx {
 namespace xpath {
@@ -148,9 +150,9 @@ bool RuidEvaluator::StepUsesIndex(
     if (p.kind == Predicate::Kind::kPosition) return false;
   }
   if (order_axis) {
-    // Navigating preceding/following/ancestor costs ~document-size per
-    // context node; candidate filtering costs |candidates| per context
-    // node and is essentially always cheaper.
+    // Navigating preceding/following costs ~document-size per context node
+    // and ancestor navigation a climb per node plus a dedup; the merge
+    // costs |candidates| + |context| and is essentially always cheaper.
     return true;
   }
   // A `//name` step rooted at the document node needs no filtering at
@@ -159,10 +161,10 @@ bool RuidEvaluator::StepUsesIndex(
   if (context.size() == 1 && context[0]->is_document()) return true;
   // Descendant axes navigate subtree-locally, which is cheap; take the
   // candidate route only when the condition is specific (Sec. 3.5): the
-  // candidate x context pair work must stay well under one document scan.
+  // merge reads every candidate and every context node once, and that
+  // must stay well under one document scan.
   size_t candidates = name_index_->Lookup(step.test.name).size();
-  return candidates * std::max<size_t>(context.size(), 1) <=
-         scheme_->label_count() / 4;
+  return candidates + context.size() <= scheme_->label_count() / 4;
 }
 
 bool RuidEvaluator::TryPathIndexChain(const std::vector<Step>& steps,
@@ -236,61 +238,73 @@ bool RuidEvaluator::TryChildChainBackwards(const std::vector<Step>& steps,
 }
 
 std::vector<xml::Node*> RuidEvaluator::EvalStepViaIndex(
-    const std::vector<xml::Node*>& context, const Step& step) {
+    std::vector<xml::Node*> context, const Step& step) {
   const std::vector<xml::Node*>& candidates =
       name_index_->Lookup(step.test.name);
   ids_generated_ += candidates.size();
-  std::vector<xml::Node*> out;
-  for (xml::Node* x : candidates) {
-    const core::Ruid2Id& xid = scheme_->label(x);
-    bool on_axis = false;
-    for (xml::Node* n : context) {
-      if (n->is_document()) {
-        // Every tree node descends from the document node.
-        on_axis = step.axis == Axis::kDescendant ||
-                  step.axis == Axis::kDescendantOrSelf;
-        if (on_axis) break;
-        continue;
+  ++routes_.index_merge;
+  // The document node sorts first. Every tree node descends from it, and it
+  // has no ancestors, preceding or following nodes.
+  bool has_document = !context.empty() && context.front()->is_document();
+  if (has_document) context.erase(context.begin());
+  std::vector<xml::Node*> on_axis;
+  switch (step.axis) {
+    case Axis::kDescendant:
+    case Axis::kDescendantOrSelf:
+      on_axis = has_document
+                    ? candidates
+                    : SemiJoinDescendantsRuid(
+                          *scheme_, context, candidates,
+                          step.axis == Axis::kDescendantOrSelf);
+      break;
+    case Axis::kAncestor:
+    case Axis::kAncestorOrSelf:
+      on_axis = SemiJoinAncestorsRuid(*scheme_, candidates, context,
+                                      step.axis == Axis::kAncestorOrSelf);
+      break;
+    case Axis::kPreceding: {
+      if (context.empty()) break;
+      // preceding(C) = preceding(max C): a node that precedes some c in C
+      // ends before c starts, so it also ends before max C starts.
+      const core::Ruid2Id& last = scheme_->label(context.back());
+      for (xml::Node* x : candidates) {
+        const core::Ruid2Id& xid = scheme_->label(x);
+        if (scheme_->CompareIds(xid, last) >= 0) break;
+        if (!scheme_->IsAncestorId(xid, last)) on_axis.push_back(x);
       }
-      if (n->is_attribute()) continue;  // handled by the navigate path
-      const core::Ruid2Id& cid = scheme_->label(n);
-      switch (step.axis) {
-        case Axis::kDescendant:
-          on_axis = scheme_->IsAncestorId(cid, xid);
-          break;
-        case Axis::kDescendantOrSelf:
-          on_axis = xid == cid || scheme_->IsAncestorId(cid, xid);
-          break;
-        case Axis::kAncestor:
-          on_axis = scheme_->IsAncestorId(xid, cid);
-          break;
-        case Axis::kAncestorOrSelf:
-          on_axis = xid == cid || scheme_->IsAncestorId(xid, cid);
-          break;
-        case Axis::kPreceding:
-          on_axis = scheme_->CompareIds(xid, cid) < 0 &&
-                    !scheme_->IsAncestorId(xid, cid);
-          break;
-        case Axis::kFollowing:
-          on_axis = scheme_->CompareIds(xid, cid) > 0 &&
-                    !scheme_->IsAncestorId(cid, xid);
-          break;
-        default:
-          break;
-      }
-      if (on_axis) break;
+      break;
     }
-    if (!on_axis) continue;
-    bool passes = true;
-    for (const Predicate& p : step.predicates) {
-      if (!MatchesPredicate(x, p)) {
-        passes = false;
-        break;
+    case Axis::kFollowing: {
+      if (context.empty()) break;
+      // following(C) = following(c*) for the context subtree that ends
+      // first: the end of the leftmost ancestor chain of sorted C. The
+      // first context node outside that chain starts after c*'s subtree,
+      // and so does everything after it.
+      const core::Ruid2Id* first_end = &scheme_->label(context.front());
+      for (size_t i = 1; i < context.size(); ++i) {
+        const core::Ruid2Id& id = scheme_->label(context[i]);
+        if (!scheme_->IsAncestorId(*first_end, id)) break;
+        first_end = &id;
       }
+      for (xml::Node* x : candidates) {
+        const core::Ruid2Id& xid = scheme_->label(x);
+        if (scheme_->CompareIds(xid, *first_end) > 0 &&
+            !scheme_->IsAncestorId(*first_end, xid)) {
+          on_axis.push_back(x);
+        }
+      }
+      break;
     }
-    if (passes) out.push_back(x);
+    default:
+      break;
   }
-  return out;
+  std::erase_if(on_axis, [&](const xml::Node* x) {
+    for (const Predicate& p : step.predicates) {
+      if (!MatchesPredicate(x, p)) return true;
+    }
+    return false;
+  });
+  return on_axis;
 }
 
 namespace {
@@ -333,18 +347,20 @@ Result<std::vector<xml::Node*>> RuidEvaluator::Evaluate(
   if (path.absolute) {
     std::vector<xml::Node*> chain_result;
     if (TryPathIndexChain(path.steps, context, &chain_result)) {
+      routes_.path_index_chain += path.steps.size();
       return chain_result;  // postings are kept in document order
     }
     if (TryChildChainBackwards(path.steps, context, &chain_result)) {
+      routes_.child_chain_backwards += path.steps.size();
       return chain_result;  // candidates arrive in document order
     }
   }
   std::vector<xml::Node*> current{context};
   // True while `current` is a duplicate-free document-order set: index
-  // posting lists arrive that way, so a path whose last executed step was
+  // merges emit that way, so a path whose last executed step was
   // index-evaluated skips the final identifier sort — for an unselective
   // `//name` the sort would otherwise cost more than the step itself.
-  bool document_ordered = false;
+  bool document_ordered = true;  // a single context node
   for (const Step& step : steps) {
     if (StepUsesIndex(step, current)) {
       // Attribute context nodes cannot be skipped silently on ancestor
@@ -354,12 +370,16 @@ Result<std::vector<xml::Node*>> RuidEvaluator::Evaluate(
         has_attribute_context |= n->is_attribute();
       }
       if (!has_attribute_context) {
-        current = EvalStepViaIndex(current, step);
+        // The merge walks the context in document order; a navigated set
+        // is sorted once here.
+        if (!document_ordered) SortDocumentOrder(&current);
+        current = EvalStepViaIndex(std::move(current), step);
         document_ordered = true;
         if (current.empty()) break;
         continue;
       }
     }
+    ++routes_.navigate;
     document_ordered = false;
     // Following axis results come in area-bulk order too; positional
     // predicates need axis order, so sort when one is present.

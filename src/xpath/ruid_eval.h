@@ -46,9 +46,13 @@ class RuidEvaluator {
   /// Enables the Sec. 3.5 "first approach" for selective steps: when a step
   /// has a name test and one of the big axes (descendant, ancestor,
   /// preceding, following), the evaluator takes the nodes with that name
-  /// from the index and keeps those whose identifier passes the axis test —
-  /// pure arithmetic per candidate. The index must outlive the evaluator
-  /// and be rebuilt after updates. Pass nullptr to disable.
+  /// from the index and keeps those whose identifier passes the axis test.
+  /// Descendant and ancestor steps (and their -or-self forms) are one
+  /// document-order merge of the candidates against the whole context set
+  /// (SemiJoinDescendantsRuid / SemiJoinAncestorsRuid); preceding and
+  /// following reduce to a single context node, so each candidate is one
+  /// identifier comparison. The index must outlive the evaluator and be
+  /// rebuilt after updates. Pass nullptr to disable.
   void SetNameIndex(const NameIndex* index) { name_index_ = index; }
 
   /// Enables single-lookup answering of fully named absolute child chains
@@ -57,18 +61,34 @@ class RuidEvaluator {
   /// fresh via PathIndex::OnUpdate. Pass nullptr to disable.
   void SetPathIndex(const PathIndex* index) { path_index_ = index; }
 
+  /// Location steps answered per route, counted as they run. A chain
+  /// rewrite answers every step of its path at once and counts them all.
+  struct RouteCounts {
+    uint64_t path_index_chain = 0;       ///< TryPathIndexChain
+    uint64_t child_chain_backwards = 0;  ///< TryChildChainBackwards
+    uint64_t index_merge = 0;            ///< EvalStepViaIndex
+    uint64_t navigate = 0;               ///< per-node GenerateAxis
+  };
+
   /// Identifiers materialized while generating axes (work metric).
   uint64_t ids_generated() const { return ids_generated_; }
-  void ResetCounters() { ids_generated_ = 0; }
+  const RouteCounts& route_counts() const { return routes_; }
+  void ResetCounters() {
+    ids_generated_ = 0;
+    routes_ = RouteCounts{};
+  }
 
  private:
   std::vector<xml::Node*> GenerateAxis(xml::Node* n, Axis axis);
 
   /// True when the step qualifies for name-index candidate filtering and
   /// the Sec. 3.5 selectivity rule favours it ("the first approach is good
-  /// only for the cases in which C is specific"). A descendant step whose
+  /// only for the cases in which C is specific"). The merge is priced
+  /// linearly: a descendant step takes it while |candidates| + |context|
+  /// stays within a quarter of the labeled nodes. A descendant step whose
   /// whole context is the document node is always index-answered: the
-  /// posting list IS the result, no per-candidate arithmetic.
+  /// posting list IS the result, no per-candidate arithmetic. Ancestor,
+  /// preceding and following steps always take it.
   bool StepUsesIndex(const Step& step,
                      const std::vector<xml::Node*>& context) const;
 
@@ -90,9 +110,10 @@ class RuidEvaluator {
                          const xml::Node* context,
                          std::vector<xml::Node*>* out);
 
-  /// Evaluates one indexable step over the whole context set.
-  std::vector<xml::Node*> EvalStepViaIndex(
-      const std::vector<xml::Node*>& context, const Step& step);
+  /// Evaluates one indexable step over the whole context set, which must
+  /// be in document order; the result is in document order too.
+  std::vector<xml::Node*> EvalStepViaIndex(std::vector<xml::Node*> context,
+                                           const Step& step);
 
   /// Sorts into document order by identifier comparison.
   void SortDocumentOrder(std::vector<xml::Node*>* nodes) const;
@@ -103,6 +124,7 @@ class RuidEvaluator {
   const NameIndex* name_index_ = nullptr;
   const PathIndex* path_index_ = nullptr;
   uint64_t ids_generated_ = 0;
+  RouteCounts routes_;
 };
 
 }  // namespace xpath

@@ -5,12 +5,16 @@
 // consumer of a numbering scheme: the join condition is decided by
 // identifiers alone.
 //
-// Three implementations share one stack-based skeleton (a single merge pass
-// over both inputs in document order, maintaining the stack of currently
-// open ancestors):
+// The ruid and interval joins share one stack-based skeleton (a single
+// merge pass over both inputs in document order, maintaining the stack of
+// currently open ancestors):
 //   * ruid       — order and ancestorship from Ruid2 identifiers,
 //   * interval   — order and ancestorship from XISS (order, size) labels,
 //   * nested loop — the quadratic DOM baseline, used as ground truth.
+// The ruid skeleton also answers the XPath evaluator's index-seeded steps
+// as semi-joins (Sec. 3.5: candidates from the condition, the axis decided
+// by identifiers alone): which candidates descend from, or are ancestors
+// of, some context node.
 #ifndef RUIDX_XPATH_STRUCTURAL_JOIN_H_
 #define RUIDX_XPATH_STRUCTURAL_JOIN_H_
 
@@ -39,6 +43,23 @@ using JoinResult = std::vector<std::pair<xml::Node*, xml::Node*>>;
 JoinResult StructuralJoinRuid(const core::Ruid2Scheme& scheme,
                               std::vector<xml::Node*> ancestors,
                               std::vector<xml::Node*> descendants);
+
+/// The candidates that descend from some context node (with `or_self`, or
+/// are one), each once, in document order: descendant::name and
+/// descendant-or-self::name over a whole context set in one merge pass.
+/// Neither input need be sorted; name postings, which arrive in document
+/// order, skip the sort.
+std::vector<xml::Node*> SemiJoinDescendantsRuid(
+    const core::Ruid2Scheme& scheme, const std::vector<xml::Node*>& context,
+    const std::vector<xml::Node*>& candidates, bool or_self);
+
+/// The candidates that are proper ancestors of some context node (with
+/// `or_self`, or are one), each once, in document order: ancestor::name and
+/// ancestor-or-self::name in one merge pass. The candidates are the stack
+/// side; a candidate is marked when a context node falls inside it.
+std::vector<xml::Node*> SemiJoinAncestorsRuid(
+    const core::Ruid2Scheme& scheme, const std::vector<xml::Node*>& candidates,
+    const std::vector<xml::Node*>& context, bool or_self);
 
 /// Seeds both join inputs from the in-memory name index (Sec. 3.5's
 /// "second approach" applied to the join: candidates come from the

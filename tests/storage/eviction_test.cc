@@ -114,8 +114,12 @@ TEST_F(EvictionTest, PrefetchLoadsThroughTheFlusherQueue) {
   BufferPool pool(pager_.get(), 4);
   pool.StartBackgroundFlusher();
   std::vector<uint32_t> ids = MakePages(&pool, 8);
-  // Pages 0..3 were evicted while 4..7 came in; prefetch one of them and
-  // use FlushAll as the queue barrier before measuring.
+  // Pinning 4..7 fills all four frames with them, so page 0 is certainly
+  // not resident when the prefetch runs (the flusher's write-backs can
+  // otherwise leave it in a frame). Unpin, prefetch, and use FlushAll as
+  // the queue barrier before measuring.
+  for (size_t i = 4; i < 8; ++i) ASSERT_TRUE(pool.Fetch(ids[i]).ok());
+  for (size_t i = 4; i < 8; ++i) pool.Unpin(ids[i], false);
   pool.Prefetch(ids[0]);
   ASSERT_TRUE(pool.FlushAll().ok());
   EXPECT_EQ(pool.stats().prefetches, 1u);

@@ -104,9 +104,24 @@ std::vector<Param> MakeCases() {
       "//bidder | //initial | //increase",
       "/site/people/person/name/text()",
   };
+  // Steps the name-index merge answers: nested and unsorted context,
+  // ancestor-side joins, and the following reduction. Appended after the
+  // cases above so their parameter indices stay put.
+  const std::string kMergePaths[] = {
+      "//open_auction//bidder",
+      "//watch/ancestor::person",
+      "//increase/ancestor-or-self::open_auction",
+      "//name/..//name",
+      "//category/following::category",
+  };
   std::vector<Param> cases;
   for (const std::string doc : {"xmark", "dblp", "random"}) {
     for (const std::string& path : kPaths) {
+      cases.push_back({doc, path});
+    }
+  }
+  for (const std::string doc : {"xmark", "dblp", "random"}) {
+    for (const std::string& path : kMergePaths) {
       cases.push_back({doc, path});
     }
   }
