@@ -11,14 +11,19 @@ namespace ruidx {
 namespace bench {
 namespace {
 
+/// A DOM edit the figures depend on; a failure ends the bench non-zero.
+void MustEdit(const Status& st, const char* what) {
+  if (!st.ok()) FailBench(what, st);
+}
+
 void Fig1() {
   Banner("E1: Fig. 1", "node insertion renumbering in the original UID");
   auto doc = std::make_unique<xml::Document>();
   xml::Node* root = doc->CreateElement("n1");
-  (void)doc->AppendChild(doc->document_node(), root);
+  MustEdit(doc->AppendChild(doc->document_node(), root), "append root");
   auto add = [&](xml::Node* p, const char* name) {
     xml::Node* n = doc->CreateElement(name);
-    (void)doc->AppendChild(p, n);
+    MustEdit(doc->AppendChild(p, n), "append child");
     return n;
   };
   xml::Node* n2 = add(root, "n2");
@@ -42,7 +47,7 @@ void Fig1() {
   before.Print();
 
   xml::Node* inserted = doc->CreateElement("inserted");
-  (void)doc->InsertChild(root, 1, inserted);
+  MustEdit(doc->InsertChild(root, 1, inserted), "insert child");
   uint64_t changed = uid.RelabelAndCount(root);
 
   TablePrinter after("Fig. 1(b): UIDs after inserting between nodes 2 and 3");
@@ -138,14 +143,16 @@ void BM_Fig1Relabel(benchmark::State& state) {
     state.PauseTiming();
     auto doc = std::make_unique<xml::Document>();
     xml::Node* root = doc->CreateElement("r");
-    (void)doc->AppendChild(doc->document_node(), root);
+    MustEdit(doc->AppendChild(doc->document_node(), root), "append root");
     for (int i = 0; i < 3; ++i) {
-      (void)doc->AppendChild(root, doc->CreateElement("c"));
+      MustEdit(doc->AppendChild(root, doc->CreateElement("c")),
+               "append child");
     }
     scheme::UidScheme uid(3);
     uid.Build(root);
     state.ResumeTiming();
-    (void)doc->InsertChild(root, 1, doc->CreateElement("x"));
+    MustEdit(doc->InsertChild(root, 1, doc->CreateElement("x")),
+             "insert child");
     benchmark::DoNotOptimize(uid.RelabelAndCount(root));
   }
 }

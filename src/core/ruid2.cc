@@ -6,7 +6,6 @@
 
 #include "scheme/uid.h"
 #include "util/dcheck.h"
-#include "util/thread_pool.h"
 
 namespace ruidx {
 namespace core {
@@ -57,13 +56,10 @@ void Ruid2Scheme::DropLabel(xml::Node* n) {
   labels_.erase(it);
 }
 
-Ruid2Scheme::AreaEnumeration Ruid2Scheme::EnumerateArea(
-    uint32_t area_idx) const {
-  const Partition::Area& area = partition_.areas[area_idx];
+uint64_t Ruid2Scheme::RenumberArea(uint32_t area_idx, bool* fanout_grew) {
+  Partition::Area& area = partition_.areas[area_idx];
   assert(area.root != nullptr && "enumerating a dropped area");
   const BigUint& area_global = area_globals_[area_idx];
-  AreaEnumeration e;
-  e.area_idx = area_idx;
 
   // Recompute the local maximal fan-out over expanding members. The paper
   // only ever *enlarges* k_i (shrinking would relabel for no benefit).
@@ -73,15 +69,16 @@ Ruid2Scheme::AreaEnumeration Ruid2Scheme::EnumerateArea(
     max_fanout = std::max<uint64_t>(max_fanout, n->fanout());
     return true;
   });
-  e.fanout = area.local_fanout;
-  if (max_fanout > e.fanout) {
-    e.fanout = max_fanout;
-    e.fanout_grew = true;
+  if (max_fanout > area.local_fanout) {
+    area.local_fanout = max_fanout;
+    if (fanout_grew != nullptr) *fanout_grew = true;
   }
-  uint64_t k = e.fanout;
+  const uint64_t k = area.local_fanout;
+  ktable_.SetFanout(area_global, k);
 
   // Local enumeration (Fig. 3, lines 4-13): the area root is index 1; the
   // j-th child of an expanding member with index L gets UidChild(L, k, j).
+  uint64_t changed = 0;
   uint64_t members = 1;
   struct Frame {
     xml::Node* node;
@@ -99,54 +96,29 @@ Ruid2Scheme::AreaEnumeration Ruid2Scheme::EnumerateArea(
       auto rit = partition_.rooted_area.find(c->serial());
       if (rit != partition_.rooted_area.end()) {
         // c roots a child area: identifier (g_child, local-in-this-area,
-        // true); its K row's root_local is patched during the apply step.
-        e.child_root_locals.emplace_back(rit->second, local);
-        e.labels.emplace_back(
-            c, Ruid2Id{area_globals_[rit->second], std::move(local), true});
+        // true), and local is the root_local of the child area's K row.
+        const BigUint& child_global = area_globals_[rit->second];
+        ktable_.SetRootLocal(child_global, local);
+        SetLabel(c, Ruid2Id{child_global, std::move(local), true}, &changed);
         // Do not descend: c's children belong to the child area.
       } else {
-        e.labels.emplace_back(c, Ruid2Id{area_global, local, false});
+        SetLabel(c, Ruid2Id{area_global, local, false}, &changed);
         stack.push_back({c, std::move(local)});
       }
     }
   }
-  e.member_count = members;
-  return e;
-}
-
-uint64_t Ruid2Scheme::ApplyEnumeration(const AreaEnumeration& e,
-                                       bool* fanout_grew) {
-  Partition::Area& area = partition_.areas[e.area_idx];
-  if (e.fanout_grew) {
-    area.local_fanout = e.fanout;
-    if (fanout_grew != nullptr) *fanout_grew = true;
-  }
-  ktable_.SetFanout(area_globals_[e.area_idx], e.fanout);
-  for (const auto& [child_area, root_local] : e.child_root_locals) {
-    ktable_.SetRootLocal(area_globals_[child_area], root_local);
-  }
-  uint64_t changed = 0;
-  for (const auto& [node, id] : e.labels) {
-    SetLabel(node, id, &changed);
-  }
-  area.member_count = e.member_count;
-  // Every published label must still be uniquely indexed, and the K row the
-  // enumeration wrote must reflect the fan-out it enumerated with.
+  area.member_count = members;
+  // Every published label must still be uniquely indexed, and the K row
+  // must reflect the fan-out the area was enumerated with.
   RUIDX_DCHECK(labels_.size() == by_id_.size(),
-               "label/index bijection broken by ApplyEnumeration");
-  RUIDX_DCHECK(ktable_.Find(area_globals_[e.area_idx]) != nullptr &&
-                   ktable_.Find(area_globals_[e.area_idx])->fanout == e.fanout,
-               "K fan-out stale after ApplyEnumeration");
+               "label/index bijection broken by RenumberArea");
+  RUIDX_DCHECK(ktable_.Find(area_global) != nullptr &&
+                   ktable_.Find(area_global)->fanout == k,
+               "K fan-out stale after RenumberArea");
   return changed;
 }
 
-uint64_t Ruid2Scheme::RenumberArea(uint32_t area_idx, bool* fanout_grew) {
-  return ApplyEnumeration(EnumerateArea(area_idx), fanout_grew);
-}
-
-void Ruid2Scheme::Build(xml::Node* root) { Build(root, nullptr); }
-
-void Ruid2Scheme::Build(xml::Node* root, util::ThreadPool* pool) {
+void Ruid2Scheme::Build(xml::Node* root) {
   auto partition = PartitionTree(root, options_);
   assert(partition.ok() && "invalid partition options");
   partition_ = partition.MoveValueUnsafe();
@@ -191,19 +163,10 @@ void Ruid2Scheme::Build(xml::Node* root, util::ThreadPool* pool) {
   // The main root is (1, 1, true) by Def. 3.
   SetLabel(root, Ruid2RootId(), nullptr);
 
-  // Local enumeration of every area. Areas share no members besides their
-  // roots (enumerated in the *upper* area), so EnumerateArea calls are
-  // independent pure computations — the BigUint-heavy half of the build —
-  // and run concurrently. The apply step merges serially in area order,
-  // which makes the result identical for every thread count.
-  // lint: disjoint-writes — worker i writes only enumerations[i].
-  std::vector<AreaEnumeration> enumerations(partition_.areas.size());
-  util::ThreadPool::ParallelFor(
-      pool, partition_.areas.size(), [&](size_t i) {
-        enumerations[i] = EnumerateArea(static_cast<uint32_t>(i));
-      });
-  for (const AreaEnumeration& e : enumerations) {
-    ApplyEnumeration(e, nullptr);
+  // Local enumeration of every area, in area order. Areas share no
+  // members besides their roots (enumerated in the *upper* area).
+  for (uint32_t i = 0; i < partition_.areas.size(); ++i) {
+    RenumberArea(i, nullptr);
   }
 }
 

@@ -24,10 +24,6 @@
 #include "xml/dom.h"
 
 namespace ruidx {
-namespace util {
-class ThreadPool;
-}  // namespace util
-
 namespace core {
 
 /// \brief 2-level ruid over a DOM tree.
@@ -43,12 +39,6 @@ class Ruid2Scheme : public scheme::LabelingScheme {
   // --- LabelingScheme ------------------------------------------------------
   std::string name() const override { return "ruid2"; }
   void Build(xml::Node* root) override;
-  /// Parallel build: UID-local areas are independent by construction
-  /// (Defs. 1-3), so their local enumerations run concurrently on `pool`
-  /// (pure per-area computation), followed by a deterministic serial merge
-  /// in area order. A null pool (or a one-worker pool) is the serial path;
-  /// results are bit-identical for every thread count.
-  void Build(xml::Node* root, util::ThreadPool* pool);
   bool IsParent(const xml::Node* p, const xml::Node* c) const override;
   bool IsAncestor(const xml::Node* a, const xml::Node* d) const override;
   int CompareOrder(const xml::Node* a, const xml::Node* b) const override;
@@ -146,31 +136,11 @@ class Ruid2Scheme : public scheme::LabelingScheme {
   /// Corruption injection for the invariant-verifier tests (defined there).
   friend class Ruid2SchemeTestPeer;
 
-  /// The pure half of area (re-)enumeration: walks one area and computes
-  /// the labels every member should carry, the area's (possibly grown)
-  /// local fan-out, and the root_local patches owed to child-area K rows —
-  /// without mutating any scheme state. Reads only immutable-during-build
-  /// structures, so independent areas can be enumerated on worker threads.
-  struct AreaEnumeration {
-    uint32_t area_idx = 0;
-    uint64_t fanout = 1;
-    bool fanout_grew = false;
-    uint64_t member_count = 1;
-    /// (node, id) in local enumeration order, area root excluded.
-    std::vector<std::pair<xml::Node*, Ruid2Id>> labels;
-    /// Child areas rooted inside this area: (child area idx, root_local).
-    std::vector<std::pair<uint32_t, BigUint>> child_root_locals;
-  };
-  AreaEnumeration EnumerateArea(uint32_t area_idx) const;
-
-  /// The mutating half: publishes an enumeration into the label maps, the
-  /// partition, and table K. Must run serially (callers order by area
-  /// index, which makes parallel builds deterministic). Returns the number
-  /// of previously labeled nodes whose identifier changed.
-  uint64_t ApplyEnumeration(const AreaEnumeration& e, bool* fanout_grew);
-
-  /// Re-enumerates the local indices of one area in place. Returns the
-  /// number of previously labeled nodes whose identifier changed.
+  /// Re-enumerates the local indices of one area in place: grows the
+  /// area's local fan-out if a member now exceeds it, relabels every
+  /// member, and patches the root_local of each child area's K row.
+  /// Returns the number of previously labeled nodes whose identifier
+  /// changed.
   uint64_t RenumberArea(uint32_t area_idx, bool* fanout_grew);
 
   /// The area in which `n` takes its local index.

@@ -48,9 +48,7 @@ RuidMId RuidMScheme::Prefix(const RuidMId& id, size_t drop) {
   return out;
 }
 
-Status RuidMScheme::Build(xml::Node* root) { return Build(root, nullptr); }
-
-Status RuidMScheme::Build(xml::Node* root, util::ThreadPool* pool) {
+Status RuidMScheme::Build(xml::Node* root) {
   if (levels_ < 1) return Status::InvalidArgument("levels must be >= 1");
   ktables_.clear();
   by_id_.clear();
@@ -72,7 +70,7 @@ Status RuidMScheme::Build(xml::Node* root, util::ThreadPool* pool) {
   xml::Node* cur_root = root;
   for (int j = 1; j < levels_; ++j) {
     LevelBuild lb{Ruid2Scheme(options_), {}};
-    lb.scheme.Build(cur_root, pool);
+    lb.scheme.Build(cur_root);
     const Partition& partition = lb.scheme.partition();
 
     // Mirror the frame into a fresh document, preserving child order.

@@ -28,10 +28,6 @@
 #include "xml/dom.h"
 
 namespace ruidx {
-namespace util {
-class ThreadPool;
-}  // namespace util
-
 namespace core {
 
 /// \brief An l-level identifier (Def. 4).
@@ -63,12 +59,6 @@ class RuidMScheme {
       : levels_(levels), options_(std::move(options)) {}
 
   Status Build(xml::Node* root);
-
-  /// Parallel build: the levels are stacked sequentially (level j+1 is the
-  /// frame of level j), but within each level the UID-local areas enumerate
-  /// concurrently on `pool` via Ruid2Scheme's parallel path. Identifiers
-  /// are identical for every thread count.
-  Status Build(xml::Node* root, util::ThreadPool* pool);
 
   int levels() const { return levels_; }
 

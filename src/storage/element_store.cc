@@ -137,13 +137,10 @@ namespace {
 //   [56..60) u32 Bloom chain head page (kInvalidPage = empty filter)
 //   [60..64) u32 Bloom word count (bit count / 64)
 //   [64..72) u64 Bloom key count
-// v4 stores may contain prefix-compressed leaf pages (page format v2);
-// pages self-describe via their format byte, so a v4 reader opens v3
-// stores unchanged and the magics differ only to record which writers have
-// touched the file. New stores are stamped v4; v3 stores keep their magic
-// until the next meta write.
-constexpr uint32_t kMetaMagicV3 = 0x52585333;  // "RXS3"
-constexpr uint32_t kMetaMagic = 0x52585334;    // "RXS4"
+// Every B+tree leaf is a prefix-compressed page (leaf format v2,
+// leaf_codec.h). Open and OpenSnapshot accept only this magic; a file
+// stamped by an older writer is rejected as Corruption.
+constexpr uint32_t kMetaMagic = 0x52585334;  // "RXS4"
 constexpr size_t kMetaSize = 72;
 
 // Bloom chain page layout: [0..4) u32 next page (kInvalidPage ends the
@@ -379,7 +376,7 @@ Result<std::unique_ptr<ElementStore>> ElementStore::Open(
   RUIDX_ASSIGN_OR_RETURN(uint8_t* page, store->pool_->Fetch(0));
   uint32_t magic = 0;
   std::memcpy(&magic, page, 4);
-  if (magic != kMetaMagic && magic != kMetaMagicV3) {
+  if (magic != kMetaMagic) {
     store->pool_->Unpin(0, false);
     return Status::Corruption("not an element store file: " + path);
   }
@@ -885,7 +882,7 @@ Result<std::unique_ptr<StoreSnapshot>> ElementStore::OpenSnapshot() {
   RUIDX_ASSIGN_OR_RETURN(uint8_t* page, snap->Fetch(0));
   uint32_t magic = 0;
   std::memcpy(&magic, page, 4);
-  if (magic != kMetaMagic && magic != kMetaMagicV3) {
+  if (magic != kMetaMagic) {
     snap->Unpin(0, false);
     return Status::Corruption("snapshot meta page lacks the store magic");
   }
@@ -1022,13 +1019,14 @@ Status ElementStore::VerifyOnDisk() {
                                   " shared between index trees");
       }
     }
-    // [restart-point-order] + [compressed-page-reconstruction]: every
-    // compressed leaf of the three trees, read raw from the flushed image,
-    // decodes cleanly and re-encodes run-for-run to its own bytes.
+    // [restart-point-order] + [compressed-page-reconstruction]: every leaf
+    // of the three trees, read raw from the flushed image, carries the v2
+    // format byte, decodes cleanly and re-encodes run-for-run to its own
+    // bytes.
     for (uint32_t id : index_pages) {
       if (id >= page_count) continue;  // range violations reported below
       RUIDX_RETURN_NOT_OK(pager_->ReadPage(id, page.data()));
-      if (page[0] == 1 && leaf::IsCompressed(page.data())) {
+      if (page[0] == 1) {
         Status leaf_status = leaf::ValidateLeaf(page.data());
         if (!leaf_status.ok()) {
           return Status::Corruption(leaf_status.message() + " (page " +
@@ -1173,7 +1171,6 @@ Status ElementStore::ComputeLeafStats(BPlusTree::LeafStats* stats) const {
   BPlusTree::LeafStats part;
   auto merge = [stats](const BPlusTree::LeafStats& part) {
     stats->leaf_pages += part.leaf_pages;
-    stats->compressed_pages += part.compressed_pages;
     stats->entries += part.entries;
     stats->key_bytes_stored += part.key_bytes_stored;
     stats->key_bytes_raw += part.key_bytes_raw;

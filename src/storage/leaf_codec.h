@@ -3,10 +3,9 @@
 // The structural identifier keys the tree stores are order-preserving byte
 // strings: sibling and descendant identifiers share long common prefixes
 // (all keys of one area share the 16-byte global half; consecutive locals
-// share most of their big-endian bytes). The legacy leaf layout spends 33
-// bytes per key regardless; this codec stores, per page, the byte prefix
-// common to every key once, and per slot only the bytes that differ from
-// the previous key — the classic slotted-page front compression, with
+// share most of their big-endian bytes). This codec, the only B+tree leaf
+// layout, stores, per page, the byte prefix common to every key once, and
+// per slot only the bytes that differ from the previous key — the classic slotted-page front compression, with
 // restart points every kRestartInterval slots so point lookups stay
 // O(log runs + run length). Each run has exactly one head (its first
 // entry, shared == 0, the one the directory points at); every other entry
@@ -15,11 +14,11 @@
 // successor, or the erased entry's successor — shifts the bytes behind
 // them, and patches the later directory pairs.
 //
-// Compressed leaf layout (header bytes [0..12) keep the legacy meaning so
-// chain walks and leaf detection never branch on format):
+// Leaf layout (header bytes [0..12) share the internal-node header, so
+// chain walks and leaf detection read them the same way on every page):
 //   [0]  u8  is_leaf (1)
-//   [1]  u8  format: kLeafFormatCompressed; 0 on legacy pages (allocation
-//            zero-fills frames, so every pre-v2 page reads as legacy)
+//   [1]  u8  format: kLeafFormatCompressed. Any other value is rejected by
+//            ValidateLeaf and asserted against on the B+tree read paths.
 //   [2..4)   u16 count
 //   [4..8)   u32 next_leaf
 //   [8..12)  u32 prev_leaf
@@ -57,7 +56,6 @@ namespace leaf {
 constexpr size_t kKeySize = 33;  // mirrors BPlusTree::kKeySize
 using Key = std::array<uint8_t, kKeySize>;
 
-constexpr uint8_t kLeafFormatLegacy = 0;
 constexpr uint8_t kLeafFormatCompressed = 2;
 
 /// Fresh runs start every kRestartInterval entries; in-place inserts may
@@ -76,7 +74,7 @@ struct Entry {
   uint64_t value;
 };
 
-/// True iff the (leaf) page carries the compressed v2 format.
+/// True iff the (leaf) page carries the v2 format byte.
 bool IsCompressed(const uint8_t* page);
 
 /// Encodes `entries` (strictly ascending) into `page` as one compressed
@@ -135,7 +133,8 @@ InsertOutcome InsertAt(uint8_t* page, size_t idx, const Key& key,
 /// directory. The page never grows.
 void EraseAt(uint8_t* page, size_t idx);
 
-/// Structural check of one compressed page: restart-directory order
+/// Structural check of one leaf page: a leaf of format v2
+/// ([compressed-page-reconstruction]), restart-directory order
 /// ([restart-point-order]) and full decode/re-encode reconstruction of
 /// every run with one head ([compressed-page-reconstruction]). Returns
 /// Corruption with the bracketed invariant name on the first violation.
@@ -154,18 +153,6 @@ struct PageStats {
 void AccumulateStats(const uint8_t* page, PageStats* stats);
 
 }  // namespace leaf
-
-/// \name Leaf compression switch
-/// Process-wide toggle: with compression on (the default), fresh leaves —
-/// bulk loads, splits, new roots — are written in the compressed v2 format;
-/// legacy pages stay readable and writable either way (the format is
-/// per-page, self-describing). Benchmarks flip it to measure the legacy
-/// layout on the same binary.
-/// @{
-bool LeafCompressionEnabled();
-void SetLeafCompressionEnabled(bool enabled);
-/// @}
-
 }  // namespace storage
 }  // namespace ruidx
 

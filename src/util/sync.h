@@ -97,9 +97,8 @@ namespace ruidx {
 // mutex, re-acquisition is a self-deadlock anyway).
 // ---------------------------------------------------------------------------
 enum class LockRank : int {
-  /// Leaf latches: the flusher's per-commit completion latch, ParallelFor's
-  /// per-call completion state, test-local mutexes. Never held while
-  /// acquiring anything else.
+  /// Leaf latches: the flusher's per-commit completion latch, test-local
+  /// mutexes. Never held while acquiring anything else.
   kLeafLatch = 10,
   /// core::AncestorPathCache::mu_ — taken from query threads; never calls
   /// out while held.
@@ -128,9 +127,6 @@ enum class LockRank : int {
   /// storage::BufferPool::mu_ — frame metadata; held across pager and WAL
   /// calls by the synchronous write-back path.
   kBufferPool = 60,
-  /// util::ThreadPool::mu_ — task queue; workers release it before running
-  /// a task, so tasks may take any storage lock.
-  kThreadPool = 70,
 };
 
 namespace sync_internal {

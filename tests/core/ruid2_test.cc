@@ -2,8 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
+#include <string>
 #include <unordered_set>
 
+#include "core/ruidm.h"
 #include "scheme/uid.h"
 #include "testutil.h"
 #include "xml/generator.h"
@@ -157,6 +160,78 @@ TEST(Ruid2SchemeTest, VirtualIdsResolveToNull) {
   scheme.Build(doc->root());
   EXPECT_EQ(scheme.NodeById(Ruid2Id{BigUint(1), BigUint(999), false}),
             nullptr);
+}
+
+std::unique_ptr<xml::Document> RebuildDoc(const std::string& topology) {
+  if (topology == "dblp") return xml::GenerateDblpLike(400);
+  if (topology == "random") {
+    xml::RandomTreeConfig config;
+    config.node_budget = 3000;
+    config.max_fanout = 6;
+    config.seed = 99;
+    return xml::GenerateRandomTree(config);
+  }
+  if (topology == "deep") {
+    xml::DeepTreeConfig config;
+    config.depth = 60;
+    config.siblings_per_level = 3;
+    return xml::GenerateDeepTree(config);
+  }
+  return xml::GenerateUniformTree(2000, 4);
+}
+
+TEST(Ruid2SchemeTest, RebuildIsIdentical) {
+  // Build labels one area at a time; a second Build on the same object and
+  // a Build on a fresh one must reproduce every identifier and every K row.
+  PartitionOptions options;
+  options.max_area_nodes = 24;
+  options.max_area_depth = 3;
+  for (const char* topology : {"uniform", "random", "deep", "dblp"}) {
+    SCOPED_TRACE(topology);
+    auto doc = RebuildDoc(topology);
+    auto nodes = testing::AllNodes(doc->root());
+
+    Ruid2Scheme first(options);
+    first.Build(doc->root());
+    std::vector<Ruid2Id> ids;
+    for (xml::Node* n : nodes) ids.push_back(first.label(n));
+    const std::vector<KRow> rows = first.ktable().rows();
+    const uint64_t kappa = first.kappa();
+
+    Ruid2Scheme fresh(options);
+    fresh.Build(doc->root());
+    first.Build(doc->root());
+    for (const Ruid2Scheme* scheme : {&first, &fresh}) {
+      ASSERT_EQ(scheme->kappa(), kappa);
+      ASSERT_EQ(scheme->label_count(), nodes.size());
+      for (size_t i = 0; i < nodes.size(); ++i) {
+        ASSERT_EQ(scheme->label(nodes[i]), ids[i])
+            << "node " << i << " <" << nodes[i]->name() << ">";
+      }
+      ASSERT_EQ(scheme->ktable().rows(), rows);
+      Status valid = scheme->Validate(doc->root());
+      ASSERT_TRUE(valid.ok()) << valid.ToString();
+    }
+
+    RuidMScheme multi_first(3, options);
+    ASSERT_TRUE(multi_first.Build(doc->root()).ok());
+    std::vector<RuidMId> multi_ids;
+    for (xml::Node* n : nodes) multi_ids.push_back(multi_first.IdOf(n));
+    RuidMScheme multi_fresh(3, options);
+    ASSERT_TRUE(multi_fresh.Build(doc->root()).ok());
+    ASSERT_TRUE(multi_first.Build(doc->root()).ok());
+    for (const RuidMScheme* scheme : {&multi_first, &multi_fresh}) {
+      ASSERT_EQ(scheme->id_count(), nodes.size());
+      for (size_t i = 0; i < nodes.size(); ++i) {
+        ASSERT_EQ(scheme->IdOf(nodes[i]), multi_ids[i])
+            << "node " << i << " <" << nodes[i]->name() << ">";
+        if (nodes[i]->parent() == nullptr || i == 0) continue;
+        auto parent = scheme->Parent(multi_ids[i]);
+        ASSERT_TRUE(parent.ok()) << parent.status().ToString();
+        ASSERT_EQ(*parent, scheme->IdOf(nodes[i]->parent()));
+      }
+    }
+  }
 }
 
 }  // namespace

@@ -1,13 +1,19 @@
 // Compressed leaf codec (page format v2): randomized key-corpus round
 // trips, boundary fuzz (empty suffixes, full-prefix collisions, restart
 // edges), run-local insert/erase churn against a reference map, and
-// read-back of stores written in the legacy (uncompressed) format.
+// rejection of stores whose leaf format byte or meta magic is not the
+// current one.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdio>
 #include <cstring>
+#include <functional>
 #include <map>
+#include <memory>
 #include <random>
+#include <string>
+#include <unordered_set>
 #include <vector>
 
 #include "storage/bptree.h"
@@ -15,29 +21,43 @@
 #include "storage/element_store.h"
 #include "storage/leaf_codec.h"
 #include "storage/pager.h"
-#include "testutil.h"
 #include "xml/generator.h"
 
 namespace ruidx {
 namespace storage {
+
+/// Rewrites one page of a flushed store on disk, behind the buffer pool,
+/// and restamps its trailer so the checksum still holds: the damage under
+/// test is a well-formed page in a format the store no longer reads, not a
+/// torn write.
+class ElementStoreTestPeer {
+ public:
+  static Status PatchPage(ElementStore* store, uint32_t page_id,
+                          const std::function<void(uint8_t*)>& patch) {
+    std::vector<uint8_t> page(kPageSize);
+    RUIDX_RETURN_NOT_OK(store->pager_->ReadPage(page_id, page.data()));
+    patch(page.data());
+    StampPageTrailer(page.data(), PageTrailerLsn(page.data()));
+    return store->pager_->WritePage(page_id, page.data());
+  }
+
+  /// Some leaf page of the primary index, read raw from the file.
+  static Result<uint32_t> PrimaryLeafPage(ElementStore* store) {
+    std::unordered_set<uint32_t> pages;
+    RUIDX_RETURN_NOT_OK(store->index_->CollectPages(&pages));
+    std::vector<uint8_t> page(kPageSize);
+    for (uint32_t id : pages) {
+      RUIDX_RETURN_NOT_OK(store->pager_->ReadPage(id, page.data()));
+      if (page[0] == 1) return id;
+    }
+    return Status::NotFound("primary index has no leaf on disk");
+  }
+};
+
 namespace {
 
 using leaf::Entry;
 using leaf::Key;
-
-// Restores the process-wide compression toggle on scope exit so a failing
-// test cannot leak a flipped toggle into the rest of the binary.
-class ScopedLeafCompression {
- public:
-  explicit ScopedLeafCompression(bool enabled)
-      : saved_(LeafCompressionEnabled()) {
-    SetLeafCompressionEnabled(enabled);
-  }
-  ~ScopedLeafCompression() { SetLeafCompressionEnabled(saved_); }
-
- private:
-  bool saved_;
-};
 
 Key MakeKey(uint64_t hi, uint64_t lo, uint8_t tail = 0) {
   Key key{};
@@ -488,112 +508,72 @@ TEST(LeafCodecTest, RandomChurnMatchesReferenceMap) {
   ExpectPageMatches(page.data(), want);
 }
 
-BPlusTree::Key TreeKey(uint64_t v) {
-  BPlusTree::Key key{};
-  for (int i = 0; i < 8; ++i) {
-    key[31 - i] = static_cast<uint8_t>(v >> (8 * i));
-  }
-  return key;
-}
-
-TEST(LeafCodecTest, TreeMixesLegacyAndCompressedPages) {
-  // Start a tree with compression off (legacy leaves), flip it on, and
-  // keep inserting: legacy pages stay legacy until they split, new pages
-  // come out compressed, and Validate covers both formats at once.
-  auto pager = Pager::Open("");
-  ASSERT_TRUE(pager.ok());
-  BufferPool pool(pager->get(), 32);
-  uint32_t root;
-  {
-    ScopedLeafCompression off(false);
-    auto created = BPlusTree::Create(&pool);
-    ASSERT_TRUE(created.ok());
-    for (uint64_t i = 0; i < 2000; ++i) {
-      ASSERT_TRUE(created->Insert(TreeKey(i * 4), i).ok());
-    }
-    ASSERT_TRUE(created->Validate().ok());
-    root = created->root_page();
-  }
-  {
-    ScopedLeafCompression on(true);
-    BPlusTree tree = BPlusTree::Attach(&pool, root, 2000);
-    // Only the low quarter of the key space takes new inserts: those
-    // legacy leaves overflow and split into compressed pages while the
-    // untouched upper leaves stay legacy.
-    for (uint64_t i = 0; i < 500; ++i) {
-      ASSERT_TRUE(tree.Insert(TreeKey(i * 4 + 1), i).ok());
-    }
-    Status st = tree.Validate();
-    ASSERT_TRUE(st.ok()) << st.ToString();
-    for (uint64_t i = 0; i < 2000; i += 97) {
-      auto even = tree.Get(TreeKey(i * 4));
-      ASSERT_TRUE(even.ok());
-      EXPECT_EQ(*even, i);
-    }
-    for (uint64_t i = 0; i < 500; i += 41) {
-      auto odd = tree.Get(TreeKey(i * 4 + 1));
-      ASSERT_TRUE(odd.ok());
-      EXPECT_EQ(*odd, i);
-    }
-    // Erases must work on both formats too.
-    for (uint64_t i = 0; i < 2000; i += 3) {
-      ASSERT_TRUE(tree.Erase(TreeKey(i * 4)).ok());
-    }
-    ASSERT_TRUE(tree.Validate().ok());
-    // Stats see both formats.
-    BPlusTree::LeafStats stats;
-    ASSERT_TRUE(tree.ComputeLeafStats(&stats).ok());
-    EXPECT_GT(stats.leaf_pages, stats.compressed_pages);
-    EXPECT_GT(stats.compressed_pages, 0u);
-  }
-}
-
-TEST(LeafCodecTest, LegacyStoreReadsBackUnderCompression) {
-  // A store written entirely in the legacy format (pre-v2 binary) must
-  // open, verify, and accept new writes with compression enabled — the
-  // transparent-migration guarantee of the meta version bump.
-  std::string path = ::testing::TempDir() + "/ruidx_legacy_readback.db";
+/// A file-backed store holding a small labeled document, flushed.
+std::unique_ptr<ElementStore> FlushedStore(const std::string& path) {
   std::remove(path.c_str());
   auto doc = xml::GenerateDblpLike(60);
   core::Ruid2Scheme scheme;
   scheme.Build(doc->root());
-  uint64_t expected_count = 0;
-  {
-    ScopedLeafCompression off(false);
-    auto store = ElementStore::Create(path, 16);
-    ASSERT_TRUE(store.ok()) << store.status().ToString();
-    ASSERT_TRUE((*store)->BulkLoad(scheme, doc->root()).ok());
-    expected_count = (*store)->record_count();
-    ASSERT_TRUE((*store)->Flush().ok());
-  }
-  {
-    ScopedLeafCompression on(true);
-    auto store = ElementStore::Open(path, 16);
-    ASSERT_TRUE(store.ok()) << store.status().ToString();
-    EXPECT_EQ((*store)->record_count(), expected_count);
-    Status verify = (*store)->VerifyOnDisk();
-    EXPECT_TRUE(verify.ok()) << verify.ToString();
-    // Old records read back...
-    auto nodes = ruidx::testing::AllNodes(doc->root());
-    for (size_t i = 0; i < nodes.size(); i += 217) {
-      auto record = (*store)->Get(scheme.label(nodes[i]));
-      ASSERT_TRUE(record.ok()) << record.status().ToString();
-      EXPECT_EQ(record->name, nodes[i]->name());
-    }
-    // ...and new writes (which may split legacy pages into compressed
-    // ones) keep the store consistent.
-    for (uint64_t i = 0; i < 500; ++i) {
-      ElementRecord extra;
-      extra.id = core::Ruid2Id{BigUint(7777777 + i), BigUint(2), false};
-      extra.parent_id = extra.id;
-      extra.name = "extra";
-      ASSERT_TRUE((*store)->Put(extra).ok());
-    }
-    ASSERT_TRUE((*store)->Flush().ok());
-    verify = (*store)->VerifyOnDisk();
-    EXPECT_TRUE(verify.ok()) << verify.ToString();
-  }
+  auto store = ElementStore::Create(path, 16);
+  EXPECT_TRUE(store.ok()) << store.status().ToString();
+  if (!store.ok()) return nullptr;
+  EXPECT_TRUE((*store)->BulkLoad(scheme, doc->root()).ok());
+  EXPECT_TRUE((*store)->Flush().ok());
+  Status verify = (*store)->VerifyOnDisk();
+  EXPECT_TRUE(verify.ok()) << verify.ToString();
+  return store.MoveValueUnsafe();
+}
+
+TEST(LeafCodecTest, VerifyRejectsLeafOfAnotherFormat) {
+  // A leaf whose format byte is not v2 (here 0, the byte a zero-filled or
+  // pre-v2 page carries) must fail the on-disk check rather than be read
+  // with the wrong layout.
+  std::string path = ::testing::TempDir() + "/ruidx_leaf_format.db";
+  auto store = FlushedStore(path);
+  ASSERT_NE(store, nullptr);
+  auto leaf_page = ElementStoreTestPeer::PrimaryLeafPage(store.get());
+  ASSERT_TRUE(leaf_page.ok()) << leaf_page.status().ToString();
+  ASSERT_TRUE(ElementStoreTestPeer::PatchPage(store.get(), *leaf_page,
+                                              [](uint8_t* page) {
+                                                page[1] = 0;
+                                              })
+                  .ok());
+  Status verify = store->VerifyOnDisk();
+  ASSERT_FALSE(verify.ok());
+  EXPECT_TRUE(verify.IsCorruption()) << verify.ToString();
+  EXPECT_NE(verify.ToString().find("[compressed-page-reconstruction]"),
+            std::string::npos)
+      << verify.ToString();
+  store.reset();
   std::remove(path.c_str());
+  std::remove((path + ".wal").c_str());
+}
+
+TEST(LeafCodecTest, OpenRejectsRxs3MetaPage) {
+  // "RXS3" stamped the pre-v2 store format; neither a snapshot of the
+  // committed state nor a reopen may read such a file as a current store.
+  std::string path = ::testing::TempDir() + "/ruidx_rxs3_meta.db";
+  auto store = FlushedStore(path);
+  ASSERT_NE(store, nullptr);
+  ASSERT_TRUE(ElementStoreTestPeer::PatchPage(store.get(), 0,
+                                              [](uint8_t* page) {
+                                                const uint32_t rxs3 =
+                                                    0x52585333;
+                                                std::memcpy(page, &rxs3, 4);
+                                              })
+                  .ok());
+  auto snapshot = store->OpenSnapshot();
+  ASSERT_FALSE(snapshot.ok());
+  EXPECT_TRUE(snapshot.status().IsCorruption())
+      << snapshot.status().ToString();
+  store.reset();  // nothing is dirty, so the patched meta page stays
+
+  auto reopened = ElementStore::Open(path, 16);
+  ASSERT_FALSE(reopened.ok());
+  EXPECT_TRUE(reopened.status().IsCorruption())
+      << reopened.status().ToString();
+  std::remove(path.c_str());
+  std::remove((path + ".wal").c_str());
 }
 
 }  // namespace

@@ -1,8 +1,8 @@
 // Positive exercise of the runtime lock-rank validator (util/sync.h): run
 // the deepest real lock-nesting chains in the system — a small-pool
 // ElementStore with its background flusher (pool mutex over wal/pager
-// mutexes, flusher queue, commit latches), a parallel labeling build on a
-// thread pool, and ancestor-cache invalidation racing readers — and require
+// mutexes, flusher queue, commit latches), and ancestor-cache invalidation
+// racing readers while a labeling build runs — and require
 // that everything completes without a rank abort. In dcheck builds every
 // Lock() in these paths runs rank validation, so this test IS the proof
 // that the documented global order matches the code's actual nesting; in
@@ -17,7 +17,6 @@
 #include "core/ruid2.h"
 #include "storage/element_store.h"
 #include "util/sync.h"
-#include "util/thread_pool.h"
 #include "xml/generator.h"
 
 namespace ruidx {
@@ -63,10 +62,9 @@ TEST(LockRankTest, ParallelBulkLoadAndCacheInvalidationRunClean) {
   core::Ruid2Scheme scheme(SmallAreas());
   scheme.Build(doc->root());
 
-  // Readers keep the ancestor-cache mutex hot while a parallel labeling
-  // build drives the thread-pool chains, and the reader thread interleaves
-  // invalidations; the store then runs the pool / wal / pager chains of a
-  // bulk load and its commit.
+  // A reader thread keeps the ancestor-cache mutex hot and interleaves
+  // invalidations while the main thread runs a labeling build; the store
+  // then runs the pool / wal / pager chains of a bulk load and its commit.
   std::vector<core::Ruid2Id> ids;
   scheme.ForEachLabeled(
       [&](xml::Node*, const core::Ruid2Id& id) { ids.push_back(id); });
@@ -84,20 +82,19 @@ TEST(LockRankTest, ParallelBulkLoadAndCacheInvalidationRunClean) {
     }
   });
 
-  core::Ruid2Scheme parallel(SmallAreas());
-  util::ThreadPool pool(4);
-  parallel.Build(doc->root(), &pool);
+  core::Ruid2Scheme rebuilt(SmallAreas());
+  rebuilt.Build(doc->root());
   stop.store(true);
   cache_churn.join();
-  ASSERT_EQ(parallel.label_count(), scheme.label_count());
+  ASSERT_EQ(rebuilt.label_count(), scheme.label_count());
 
   auto store = ElementStore::Create("", /*buffer_pool_pages=*/8);
   ASSERT_TRUE(store.ok());
-  Status load = (*store)->BulkLoad(parallel, doc->root());
+  Status load = (*store)->BulkLoad(rebuilt, doc->root());
   ASSERT_TRUE(load.ok()) << load.ToString();
   ASSERT_TRUE((*store)->Flush().ok());
   ASSERT_TRUE((*store)->VerifyOnDisk().ok());
-  EXPECT_EQ((*store)->record_count(), parallel.label_count());
+  EXPECT_EQ((*store)->record_count(), rebuilt.label_count());
 }
 
 TEST(LockRankTest, ValidatorCompiledStateMatchesBuild) {

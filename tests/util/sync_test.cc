@@ -76,9 +76,9 @@ TEST(SyncTest, CondVarWaitLoopSeesNotification) {
 
 TEST(SyncTest, NestingInRankOrderIsAccepted) {
   // Strictly decreasing ranks down the chain — the discipline the storage
-  // stack follows (pool over pager), under one higher-ranked lock.
-  Mutex outer(LockRank::kThreadPool, "sync_test.outer");
-  Mutex middle(LockRank::kBufferPool, "sync_test.middle");
+  // stack follows (pool over wal over pager).
+  Mutex outer(LockRank::kBufferPool, "sync_test.outer");
+  Mutex middle(LockRank::kWal, "sync_test.middle");
   Mutex inner(LockRank::kPager, "sync_test.inner");
   MutexLock a(&outer);
   MutexLock b(&middle);
@@ -88,7 +88,7 @@ TEST(SyncTest, NestingInRankOrderIsAccepted) {
 TEST(SyncTest, ReleaseOutOfStackOrderIsAccepted) {
   // ReleasableMutexLock inside a wider scope: the middle lock leaves the
   // held stack first. Legal — ordering constrains acquisition only.
-  Mutex outer(LockRank::kThreadPool, "sync_test.ooo_outer");
+  Mutex outer(LockRank::kBufferPool, "sync_test.ooo_outer");
   Mutex middle(LockRank::kWal, "sync_test.ooo_middle");
   Mutex inner(LockRank::kPager, "sync_test.ooo_inner");
   MutexLock a(&outer);
@@ -142,7 +142,7 @@ TEST(SyncDeathTest, ViolationReportNamesTheHeldStack) {
   // inversion is readable from one crash.
   EXPECT_DEATH(
       {
-        Mutex outer(LockRank::kThreadPool, "sync_test.stack_outer");
+        Mutex outer(LockRank::kBufferPool, "sync_test.stack_outer");
         Mutex inner(LockRank::kPager, "sync_test.stack_inner");
         MutexLock a(&outer);
         MutexLock b(&inner);

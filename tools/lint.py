@@ -17,12 +17,6 @@ Rules (each with the hazard it guards against):
       other layers must call the core API so the packed/BigUint paths stay in
       lockstep.
 
-  threadpool-ref-capture
-      `ThreadPool::ParallelFor`/`Submit` call sites whose lambda captures by
-      reference (`[&]`) without a nearby mutex/atomic or an explicit
-      `// lint: disjoint-writes` annotation stating why unsynchronized
-      sharing is safe.
-
   core-no-storage-include
       src/core/ must not include storage headers: the paper's point is that
       identifier arithmetic runs on (kappa, K) alone, so the core layer must
@@ -101,10 +95,6 @@ RE_PTR_KEYED_MAP = re.compile(
 RE_RAW_ID_ARITH = re.compile(
     r"\b\w*(?:global|local|kappa|fanout)\w*(?:\(\))?\s*[+\-*/%]\s*\d"
 )
-RE_THREADPOOL_CALL = re.compile(r"\bThreadPool::(?:ParallelFor|Submit)\s*\(")
-RE_REF_CAPTURE = re.compile(r"\[\s*&\s*[\],]")
-RE_SYNC_NEARBY = re.compile(r"mutex|atomic|lock_guard|unique_lock")
-RE_DISJOINT_NOTE = re.compile(r"//\s*lint:\s*disjoint-writes")
 RE_STORAGE_INCLUDE = re.compile(r'#include\s+"storage/')
 RE_WAL_BYPASS = re.compile(r"(?:\.|->)\s*WritePage\s*\(")
 # The durability layer owns the raw write path; everything else must go
@@ -346,31 +336,6 @@ def lint_file(root, rel_path, lines):
                     "enumeration an explicit decision",
                 )
             )
-
-        if RE_THREADPOOL_CALL.search(stripped):
-            # Look at the call site plus the lambda it opens (a window is
-            # enough: captures appear on the call line or the next few).
-            window = lines[i - 1 : i + 4]
-            context = lines[max(0, i - 8) : min(len(lines), i + 16)]
-            if (
-                any(RE_REF_CAPTURE.search(w) for w in window)
-                and not any(RE_SYNC_NEARBY.search(c) for c in context)
-                and not any(RE_DISJOINT_NOTE.search(c) for c in context)
-                and not any(
-                    has_nolint(w, "threadpool-ref-capture") for w in window
-                )
-            ):
-                violations.append(
-                    Violation(
-                        rel_path,
-                        i,
-                        "threadpool-ref-capture",
-                        "[&] capture handed to the thread pool with no "
-                        "mutex/atomic in sight; add synchronization or a "
-                        "'// lint: disjoint-writes' note explaining the "
-                        "per-worker disjointness",
-                    )
-                )
 
     return violations
 
